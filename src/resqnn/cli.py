@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("epoch", "c_sv", "c_g", "c_full", "c_test", "wall_ms")
+#: A custom topology needs an edge list, which no flag or config field carries.
+_TOPOLOGIES = tuple(t for t in TOPOLOGIES if t != "custom")
 SWEEP_AXES = ("gamma", "supervised", "arch")
 OUTPUT_ENV_VAR = "RESQNN_OUT"
 
@@ -73,9 +75,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arch", arch_to_string(arch_from_string(self.arch)))
-        if self.topology not in TOPOLOGIES:
+        if self.topology not in _TOPOLOGIES:
             raise ValueError(
-                f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
+                f"topology must be one of {_TOPOLOGIES}, got {self.topology!r}"
             )
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
@@ -389,7 +391,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file of config fields; flags override it")
     parser.add_argument("--arch", help="layer widths, '~' marks a shortcut hidden layer")
-    parser.add_argument("--topology", choices=TOPOLOGIES)
+    parser.add_argument("--topology", choices=_TOPOLOGIES)
     parser.add_argument("--vertices", type=int, help="number of graph vertices")
     parser.add_argument("--supervised", type=int, help="number of supervised vertices")
     parser.add_argument("--gamma", type=float, help="non-positive graph-cost weight")

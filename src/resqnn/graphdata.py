@@ -34,6 +34,8 @@ from .qlinalg import (
     DimensionError,
     OperatorState,
     PureState,
+    _complex_to_pairs,
+    _pairs_to_complex,
     haar_random_unitary,
     random_pure_state,
 )
@@ -275,17 +277,6 @@ def generate_dataset(
     return GraphDataset(spec, input_qubits, float(delta), int(seed), tuple(states), target)
 
 
-def _complex_vector_pairs(vec: np.ndarray) -> list:
-    return np.stack([vec.real, vec.imag], axis=-1).tolist()
-
-
-def _pairs_to_vector(payload, length: int, where: str) -> np.ndarray:
-    arr = np.asarray(payload, dtype=float)
-    if arr.shape != (length, 2):
-        raise ValueError(f"{where}: expected shape {(length, 2)}, got {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
 def save_dataset(path: str | Path, dataset: GraphDataset) -> None:
     """Write the dataset as JSON (states and target unitary as [re, im] pairs)."""
     payload = {
@@ -298,10 +289,8 @@ def save_dataset(path: str | Path, dataset: GraphDataset) -> None:
         "input_qubits": dataset.input_qubits,
         "delta": dataset.delta,
         "seed": dataset.seed,
-        "states": [_complex_vector_pairs(psi.amplitudes) for psi in dataset.inputs],
-        "target_unitary": np.stack(
-            [dataset.target_unitary.real, dataset.target_unitary.imag], axis=-1
-        ).tolist(),
+        "states": [_complex_to_pairs(psi.amplitudes) for psi in dataset.inputs],
+        "target_unitary": _complex_to_pairs(dataset.target_unitary),
     }
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
@@ -318,15 +307,10 @@ def load_dataset(path: str | Path) -> GraphDataset:
             tuple(raw_spec["supervised_indices"]),
         )
         input_qubits = int(payload["input_qubits"])
-        dim = 2**input_qubits
         states = tuple(
-            PureState(_pairs_to_vector(raw, dim, f"state {i}"), input_qubits)
-            for i, raw in enumerate(payload["states"])
+            PureState(_pairs_to_complex(raw), input_qubits) for raw in payload["states"]
         )
-        raw_v = np.asarray(payload["target_unitary"], dtype=float)
-        if raw_v.shape != (dim, dim, 2):
-            raise ValueError(f"target unitary: expected shape {(dim, dim, 2)}, got {raw_v.shape}")
-        target = raw_v[..., 0] + 1j * raw_v[..., 1]
+        target = _pairs_to_complex(payload["target_unitary"])
         return GraphDataset(
             spec, input_qubits, float(payload["delta"]), payload.get("seed"), states, target
         )

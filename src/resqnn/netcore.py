@@ -20,13 +20,15 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .qlinalg import (
     DimensionError,
     OperatorState,
+    _complex_to_pairs,
+    _pairs_to_complex,
     embed_operator,
     ground_state_projector,
     haar_random_unitary,
@@ -43,9 +45,7 @@ __all__ = [
     "arch_to_string",
     "embed_network",
     "forward",
-    "forward_from",
     "init_unitaries",
-    "layer_forward",
     "load_checkpoint",
     "residual_add",
     "save_checkpoint",
@@ -55,6 +55,8 @@ __all__ = [
 UNITARY_TOL = 1e-9
 #: Input density matrices must have unit trace within this tolerance.
 INPUT_TRACE_TOL = 1e-8
+#: Architectures whose dense matrices would exceed this many bytes are rejected.
+MAX_DENSE_BYTES = 2**30
 
 
 class ArchitectureError(ValueError):
@@ -90,6 +92,27 @@ class Architecture:
                 )
         object.__setattr__(self, "layer_widths", widths)
         object.__setattr__(self, "residual_flags", flags)
+        if self.dense_bytes > MAX_DENSE_BYTES:
+            raise ArchitectureError(
+                f"layer widths {widths} need {self.dense_bytes / 2**30:,.1f} GiB of dense "
+                f"matrices, more than the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
+            )
+
+    @property
+    def dense_bytes(self) -> float:
+        """Bytes of the complex matrices ``embed_network`` and ``init_unitaries`` build.
+
+        Per layer: each perceptron embedded in the layer's workspace plus its
+        own Haar draw. Infinite when the estimate overflows a float.
+        """
+        try:
+            return sum(
+                16.0 * self.width_out(l)
+                * (4.0 ** (self.width_in(l) + self.width_out(l)) + 4.0 ** (self.width_in(l) + 1))
+                for l in range(self.num_unitary_layers)
+            )
+        except OverflowError:
+            return float("inf")
 
     @property
     def num_hidden_layers(self) -> int:
@@ -161,6 +184,48 @@ def arch_to_string(arch: Architecture) -> str:
     return ",".join(parts)
 
 
+def _frozen_layers(
+    arch: Architecture,
+    layers: Sequence[Sequence[np.ndarray]],
+    item: str,
+    check: Callable[[np.ndarray, str], None],
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Read-only copies of one square matrix per perceptron, laid out as ``arch``.
+
+    Checks the layer count, the per-layer count and every shape, naming the
+    matrices ``item``; ``check(matrix, where)`` adds the owner's own test.
+    """
+    if len(layers) != arch.num_unitary_layers:
+        raise ArchitectureError(
+            f"expected {arch.num_unitary_layers} unitary layers, got {len(layers)}"
+        )
+    frozen_layers = []
+    for l, layer in enumerate(layers):
+        dim = 2 ** (arch.width_in(l) + 1)
+        if len(layer) != arch.width_out(l):
+            raise ArchitectureError(
+                f"layer {l} needs {arch.width_out(l)} {item}s, got {len(layer)}"
+            )
+        frozen = []
+        for j, m in enumerate(layer):
+            mat = np.array(m, dtype=np.complex128)
+            if mat.shape != (dim, dim):
+                raise ArchitectureError(
+                    f"{item} ({l},{j}) has shape {mat.shape}, expected {(dim, dim)}"
+                )
+            check(mat, f"{item} ({l},{j})")
+            mat.setflags(write=False)
+            frozen.append(mat)
+        frozen_layers.append(tuple(frozen))
+    return tuple(frozen_layers)
+
+
+def _check_unitary(mat: np.ndarray, where: str) -> None:
+    defect = np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()
+    if defect > UNITARY_TOL:
+        raise ArchitectureError(f"{where} deviates from unitarity by {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class LayerUnitaries:
     """Per-layer tuples of perceptron unitaries, validated against ``arch``."""
@@ -169,35 +234,8 @@ class LayerUnitaries:
     layers: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        arch = self.arch
-        if len(self.layers) != arch.num_unitary_layers:
-            raise ArchitectureError(
-                f"expected {arch.num_unitary_layers} unitary layers, got {len(self.layers)}"
-            )
-        frozen_layers = []
-        for l, layer in enumerate(self.layers):
-            dim = 2 ** (arch.width_in(l) + 1)
-            if len(layer) != arch.width_out(l):
-                raise ArchitectureError(
-                    f"layer {l} needs {arch.width_out(l)} perceptrons, got {len(layer)}"
-                )
-            frozen = []
-            for j, u in enumerate(layer):
-                mat = np.asarray(u, dtype=np.complex128)
-                if mat.shape != (dim, dim):
-                    raise ArchitectureError(
-                        f"perceptron ({l},{j}) has shape {mat.shape}, expected {(dim, dim)}"
-                    )
-                defect = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-                if defect > UNITARY_TOL:
-                    raise ArchitectureError(
-                        f"perceptron ({l},{j}) deviates from unitarity by {defect:.3e}"
-                    )
-                mat = np.array(mat)
-                mat.setflags(write=False)
-                frozen.append(mat)
-            frozen_layers.append(tuple(frozen))
-        object.__setattr__(self, "layers", tuple(frozen_layers))
+        layers = _frozen_layers(self.arch, self.layers, "perceptron", _check_unitary)
+        object.__setattr__(self, "layers", layers)
 
 
 def init_unitaries(arch: Architecture, rng: np.random.Generator) -> LayerUnitaries:
@@ -244,33 +282,6 @@ def _apply_layer(
     return ptrace_qubits(big, space, range(width_in, space))
 
 
-def layer_forward(
-    rho_in: OperatorState,
-    perceptrons: Sequence[np.ndarray],
-    width_in: int,
-    width_out: int,
-) -> OperatorState:
-    """One layer: adjoin ancillas, apply perceptrons in order, drop the input.
-
-    ``perceptrons[j]`` acts on all ``width_in`` input qubits plus the j-th
-    fresh ancilla qubit.
-    """
-    if rho_in.num_qubits != width_in:
-        raise DimensionError(
-            f"layer input has {rho_in.num_qubits} qubits, expected {width_in}"
-        )
-    if len(perceptrons) != width_out:
-        raise DimensionError(
-            f"layer needs {width_out} perceptrons, got {len(perceptrons)}"
-        )
-    space = width_in + width_out
-    embedded = [
-        embed_operator(u, _perceptron_targets(width_in, j), space)
-        for j, u in enumerate(perceptrons)
-    ]
-    return OperatorState(_apply_layer(rho_in.matrix, width_in, width_out, embedded), width_out)
-
-
 def residual_add(rho_out: OperatorState, rho_in: OperatorState, delta_m: int) -> OperatorState:
     """Shortcut addition: ``rho_out + rho_in (x) |0...0><0...0|`` on ``delta_m`` qubits."""
     if delta_m < 0:
@@ -291,9 +302,10 @@ def residual_add(rho_out: OperatorState, rho_in: OperatorState, delta_m: int) ->
 class ForwardRecord:
     """Per-layer inputs and outputs of one feedforward pass.
 
-    ``layer_inputs[l]`` is what unitary layer ``l`` consumed (shortcut
-    additions included), ``layer_outputs[l]`` what it produced before any
-    shortcut; ``final`` is the network output, of trace ``2**t``.
+    ``layer_inputs[i]`` is what the pass's ``i``-th unitary layer consumed
+    (shortcut additions included), ``layer_outputs[i]`` what it produced
+    before any shortcut; ``final`` is the network output, of trace ``2**t``.
+    A full pass starts at layer 0, so ``i`` is the layer index.
     """
 
     layer_inputs: tuple[OperatorState, ...]
@@ -309,20 +321,32 @@ def forward(
     unitaries: LayerUnitaries,
     rho_in: OperatorState,
     embedded: list[list[np.ndarray]] | None = None,
+    start_layer: int = 0,
 ) -> ForwardRecord:
-    """Full feedforward pass from a unit-trace input state."""
-    if rho_in.num_qubits != arch.input_qubits:
+    """Feedforward pass through unitary layers ``start_layer..`` to the output.
+
+    ``rho_in`` is the state entering layer ``start_layer``: a unit-trace input
+    for a full pass, or a recorded ``layer_inputs[start_layer]``, of trace
+    ``2**s`` after the ``s`` shortcuts before it, to re-run a pass's tail.
+    """
+    if not 0 <= start_layer < arch.num_unitary_layers:
+        raise ArchitectureError(f"no unitary layer {start_layer}")
+    if rho_in.num_qubits != arch.width_in(start_layer):
         raise DimensionError(
-            f"input has {rho_in.num_qubits} qubits, architecture expects {arch.input_qubits}"
+            f"input has {rho_in.num_qubits} qubits, layer {start_layer} expects "
+            f"{arch.width_in(start_layer)}"
         )
-    if abs(rho_in.trace() - 1.0) > INPUT_TRACE_TOL:
-        raise ValueError(f"input state must have unit trace, got {rho_in.trace():.6f}")
+    expected_trace = 2.0 ** sum(arch.residual_flags[:start_layer])
+    if abs(rho_in.trace() - expected_trace) > INPUT_TRACE_TOL:
+        raise ValueError(
+            f"input state must have trace {expected_trace:g}, got {rho_in.trace():.6f}"
+        )
     if embedded is None:
         embedded = embed_network(arch, unitaries)
     inputs = [rho_in]
     outputs = []
     current = rho_in
-    for l in range(arch.num_unitary_layers):
+    for l in range(start_layer, arch.num_unitary_layers):
         out = OperatorState(
             _apply_layer(current.matrix, arch.width_in(l), arch.width_out(l), embedded[l]),
             arch.width_out(l),
@@ -335,43 +359,6 @@ def forward(
         if l + 1 < arch.num_unitary_layers:
             inputs.append(current)
     return ForwardRecord(tuple(inputs), tuple(outputs))
-
-
-def forward_from(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    start_layer: int,
-    rho_at_layer: OperatorState,
-    embedded: list[list[np.ndarray]] | None = None,
-) -> OperatorState:
-    """Network output given the state entering unitary layer ``start_layer``.
-
-    Lets perturbation sweeps reuse the unchanged prefix of a recorded pass.
-    """
-    if not 0 <= start_layer < arch.num_unitary_layers:
-        raise ArchitectureError(f"no unitary layer {start_layer}")
-    if embedded is None:
-        embedded = embed_network(arch, unitaries)
-    current = rho_at_layer
-    for l in range(start_layer, arch.num_unitary_layers):
-        out = OperatorState(
-            _apply_layer(current.matrix, arch.width_in(l), arch.width_out(l), embedded[l]),
-            arch.width_out(l),
-        )
-        current = residual_add(out, current, arch.delta_m(l)) if arch.is_residual(l) else out
-    return current
-
-
-def _complex_to_pairs(matrix: np.ndarray) -> list:
-    stacked = np.stack([matrix.real, matrix.imag], axis=-1)
-    return stacked.tolist()
-
-
-def _pairs_to_complex(payload: list, dim: int, where: str) -> np.ndarray:
-    arr = np.asarray(payload, dtype=float)
-    if arr.shape != (dim, dim, 2):
-        raise ArchitectureError(f"{where}: expected shape {(dim, dim, 2)}, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def save_checkpoint(
@@ -401,18 +388,5 @@ def load_checkpoint(path: str | Path) -> tuple[LayerUnitaries, int | None]:
         seed = payload.get("seed")
     except (KeyError, TypeError) as exc:
         raise ArchitectureError(f"malformed checkpoint {path}: {exc}") from exc
-    if len(raw_layers) != arch.num_unitary_layers:
-        raise ArchitectureError(
-            f"checkpoint {path} has {len(raw_layers)} layers, arch needs "
-            f"{arch.num_unitary_layers}"
-        )
-    layers = []
-    for l, raw_layer in enumerate(raw_layers):
-        dim = 2 ** (arch.width_in(l) + 1)
-        layers.append(
-            tuple(
-                _pairs_to_complex(raw, dim, f"checkpoint layer {l} perceptron {j}")
-                for j, raw in enumerate(raw_layer)
-            )
-        )
-    return LayerUnitaries(arch, tuple(layers)), seed
+    layers = tuple(tuple(_pairs_to_complex(raw) for raw in layer) for layer in raw_layers)
+    return LayerUnitaries(arch, layers), seed

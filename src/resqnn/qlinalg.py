@@ -35,16 +35,12 @@ __all__ = [
     "OperatorState",
     "PureState",
     "assert_valid_state",
-    "dagger",
     "embed_operator",
     "exp_i_hermitian",
     "fidelity_pure",
     "ground_state_projector",
     "haar_random_unitary",
     "hs_distance",
-    "partial_trace",
-    "partial_trace_keep",
-    "pauli_basis",
     "pauli_coefficients",
     "ptrace_qubits",
     "random_pure_state",
@@ -83,6 +79,19 @@ def _as_square_complex(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _complex_to_pairs(array: np.ndarray) -> list:
+    """Nested lists with each complex entry as an ``[re, im]`` pair (JSON files)."""
+    return np.stack([array.real, array.imag], axis=-1).tolist()
+
+
+def _pairs_to_complex(payload) -> np.ndarray:
+    """Inverse of :func:`_complex_to_pairs`; callers validate the shape."""
+    arr = np.asarray(payload, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise DimensionError(f"expected [re, im] pairs, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def _qubit_count(dim: int, name: str = "matrix") -> int:
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
@@ -113,15 +122,6 @@ class OperatorState:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "OperatorState":
-        arr = _as_square_complex(matrix, "state matrix")
-        return cls(arr, _qubit_count(arr.shape[0], "state matrix"))
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -134,11 +134,11 @@ class PureState:
     num_qubits: int
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amp.shape[0] != 2**self.num_qubits:
+        amp = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amp.shape != (2**self.num_qubits,):
             raise DimensionError(
-                f"amplitude vector has length {amp.shape[0]}, expected "
-                f"{2 ** self.num_qubits} for {self.num_qubits} qubits"
+                f"amplitude vector has shape {amp.shape}, expected "
+                f"{(2 ** self.num_qubits,)} for {self.num_qubits} qubits"
             )
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes contain non-finite entries")
@@ -148,11 +148,6 @@ class PureState:
         amp = np.array(amp)
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> "PureState":
-        amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        return cls(amp, _qubit_count(amp.shape[0], "amplitude vector"))
 
     def density(self) -> OperatorState:
         """Rank-one projector |psi><psi| as an :class:`OperatorState`."""
@@ -168,11 +163,6 @@ def assert_valid_state(state: OperatorState, psd_tol: float = PSD_TOL) -> None:
     eigs = np.linalg.eigvalsh(state.matrix)
     if eigs.min() < psd_tol:
         raise ValueError(f"state has eigenvalue {eigs.min():.3e} below {psd_tol:.0e}")
-
-
-def dagger(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return matrix.conj().T
 
 
 def tensor_product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
@@ -222,49 +212,6 @@ def ptrace_qubits(matrix: np.ndarray, num_qubits: int, keep: Iterable[int]) -> n
         remaining -= 1
     dim_keep = 2 ** len(keep_list)
     return tensor.reshape(dim_keep, dim_keep)
-
-
-def _subsystem_qubit_ranges(counts: Sequence[int]) -> list[range]:
-    if not counts or any(int(c) < 0 for c in counts):
-        raise DimensionError(f"invalid subsystem qubit counts {list(counts)}")
-    ranges = []
-    start = 0
-    for c in counts:
-        ranges.append(range(start, start + int(c)))
-        start += int(c)
-    return ranges
-
-
-def partial_trace_keep(
-    state: OperatorState, subsystem_qubit_counts: Sequence[int], keep_indices: Iterable[int]
-) -> OperatorState:
-    """Trace out all subsystems except the listed ones.
-
-    The state's qubits are partitioned into consecutive subsystems of the
-    given sizes; subsystems in ``keep_indices`` survive, in their original
-    order.
-    """
-    ranges = _subsystem_qubit_ranges(subsystem_qubit_counts)
-    if sum(len(r) for r in ranges) != state.num_qubits:
-        raise DimensionError(
-            f"subsystem qubit counts {list(subsystem_qubit_counts)} do not sum to "
-            f"{state.num_qubits} qubits"
-        )
-    keep_set = set(int(i) for i in keep_indices)
-    if not keep_set or any(i < 0 or i >= len(ranges) for i in keep_set):
-        raise DimensionError(
-            f"keep indices {sorted(keep_set)} invalid for {len(ranges)} subsystems"
-        )
-    keep_qubits = [q for i in sorted(keep_set) for q in ranges[i]]
-    reduced = ptrace_qubits(state.matrix, state.num_qubits, keep_qubits)
-    return OperatorState(reduced, len(keep_qubits))
-
-
-def partial_trace(
-    state: OperatorState, subsystem_qubit_counts: Sequence[int], keep_index: int
-) -> OperatorState:
-    """Trace out everything except one subsystem (see :func:`partial_trace_keep`)."""
-    return partial_trace_keep(state, subsystem_qubit_counts, [keep_index])
 
 
 def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -361,17 +308,6 @@ def _pauli_stack(num_qubits: int) -> np.ndarray:
     stack = np.stack(mats)
     stack.setflags(write=False)
     return stack
-
-
-def pauli_basis(num_qubits: int) -> list[np.ndarray]:
-    """Tensor-product Pauli basis in lexicographic (I, X, Y, Z) order.
-
-    The first qubit's factor varies slowest: for two qubits the list runs
-    II, IX, IY, IZ, XI, ... , ZZ. Elements are read-only views.
-    """
-    if num_qubits < 1:
-        raise DimensionError(f"need at least one qubit, got {num_qubits}")
-    return list(_pauli_stack(num_qubits))
 
 
 def pauli_coefficients(matrix: np.ndarray) -> np.ndarray:

@@ -57,9 +57,9 @@ from .netcore import (
     ArchitectureError,
     ForwardRecord,
     LayerUnitaries,
+    _frozen_layers,
     embed_network,
     forward,
-    forward_from,
     init_unitaries,
 )
 from .qlinalg import (
@@ -83,17 +83,14 @@ __all__ = [
     "UpdateGenerators",
     "graph_generators",
     "k_full",
-    "k_graph_one_hidden",
     "k_numeric_oracle",
-    "k_supervised_one_hidden",
-    "k_supervised_two_hidden",
     "numeric_cost_gradients",
     "supervised_generators",
     "train",
     "update_step",
 ]
 
-K_MODES = ("analytic", "numeric", "hybrid")
+K_MODES = ("numeric", "hybrid")
 
 #: Ratio between the graph generator's normalization and the gradient of the
 #: ordered-pair graph cost; see the module docstring.
@@ -104,6 +101,12 @@ PLATEAU_TOL = 1e-7
 PLATEAU_WINDOW = 20
 
 
+def _check_hermitian(mat: np.ndarray, where: str) -> None:
+    defect = np.abs(mat - mat.conj().T).max()
+    if defect > HERMITIAN_TOL * max(1.0, np.abs(mat).max()):
+        raise ValueError(f"{where} deviates from Hermiticity by {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class UpdateGenerators:
     """One Hermitian generator per perceptron, mirroring ``LayerUnitaries``."""
@@ -112,35 +115,8 @@ class UpdateGenerators:
     layers: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self) -> None:
-        arch = self.arch
-        if len(self.layers) != arch.num_unitary_layers:
-            raise ArchitectureError(
-                f"expected {arch.num_unitary_layers} layers, got {len(self.layers)}"
-            )
-        frozen_layers = []
-        for l, layer in enumerate(self.layers):
-            dim = 2 ** (arch.width_in(l) + 1)
-            if len(layer) != arch.width_out(l):
-                raise ArchitectureError(
-                    f"layer {l} needs {arch.width_out(l)} generators, got {len(layer)}"
-                )
-            frozen = []
-            for j, k in enumerate(layer):
-                mat = np.asarray(k, dtype=np.complex128)
-                if mat.shape != (dim, dim):
-                    raise ArchitectureError(
-                        f"generator ({l},{j}) has shape {mat.shape}, expected {(dim, dim)}"
-                    )
-                defect = np.abs(mat - mat.conj().T).max()
-                if defect > HERMITIAN_TOL * max(1.0, np.abs(mat).max()):
-                    raise ValueError(
-                        f"generator ({l},{j}) deviates from Hermiticity by {defect:.3e}"
-                    )
-                mat = np.array(mat)
-                mat.setflags(write=False)
-                frozen.append(mat)
-            frozen_layers.append(tuple(frozen))
-        object.__setattr__(self, "layers", tuple(frozen_layers))
+        layers = _frozen_layers(self.arch, self.layers, "generator", _check_hermitian)
+        object.__setattr__(self, "layers", layers)
 
 
 @dataclass(frozen=True)
@@ -153,7 +129,6 @@ class TrainingConfig:
     epsilon: float = 0.01
     gamma: float = 0.0
     k_mode: str = "hybrid"
-    finite_diff_step: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -166,10 +141,6 @@ class TrainingConfig:
             raise ValueError(f"gamma must be non-positive, got {self.gamma}")
         if self.k_mode not in K_MODES:
             raise ValueError(f"k_mode must be one of {K_MODES}, got {self.k_mode!r}")
-        if not 1e-7 <= self.finite_diff_step <= 1e-3:
-            raise ValueError(
-                f"finite_diff_step must lie in [1e-7, 1e-3], got {self.finite_diff_step}"
-            )
 
 
 @dataclass(frozen=True)
@@ -352,52 +323,6 @@ def graph_generators(
     return _scaled_generators(arch, acc, lambda l: eta * 2.0 ** (arch.width_in(l) + 1))
 
 
-def _require_family(arch: Architecture, hidden: int, op_name: str, flags_all_set: bool) -> None:
-    if arch.num_hidden_layers != hidden:
-        raise ArchitectureError(
-            f"{op_name} needs exactly {hidden} hidden layer(s), "
-            f"got {arch.num_hidden_layers}"
-        )
-    if flags_all_set and not all(arch.residual_flags):
-        raise ArchitectureError(f"{op_name} needs every hidden layer flagged residual")
-
-
-def k_supervised_one_hidden(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    records: Sequence[ForwardRecord],
-    targets: Sequence[PureState],
-    eta: float = 1.0,
-) -> UpdateGenerators:
-    """Supervised generators for the one-residual-hidden-layer family."""
-    _require_family(arch, 1, "k_supervised_one_hidden", flags_all_set=True)
-    return supervised_generators(arch, unitaries, records, targets, eta)
-
-
-def k_supervised_two_hidden(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    records: Sequence[ForwardRecord],
-    targets: Sequence[PureState],
-    eta: float = 1.0,
-) -> UpdateGenerators:
-    """Supervised generators for two-hidden-layer nets (any flag pattern)."""
-    _require_family(arch, 2, "k_supervised_two_hidden", flags_all_set=False)
-    return supervised_generators(arch, unitaries, records, targets, eta)
-
-
-def k_graph_one_hidden(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    records: Sequence[ForwardRecord],
-    adjacency: np.ndarray,
-    eta: float = 1.0,
-) -> UpdateGenerators:
-    """Graph generators for the one-residual-hidden-layer family."""
-    _require_family(arch, 1, "k_graph_one_hidden", flags_all_set=True)
-    return graph_generators(arch, unitaries, records, adjacency, eta)
-
-
 def k_full(
     supervised: UpdateGenerators,
     graph: UpdateGenerators | None,
@@ -453,7 +378,9 @@ def _costs_from_layer(
         range(dataset.spec.num_vertices) if include_graph else dataset.spec.supervised_indices
     )
     finals: dict[int, OperatorState] = {
-        v: forward_from(arch, unitaries, layer, records[v].layer_inputs[layer], embedded=embedded)
+        v: forward(
+            arch, unitaries, records[v].layer_inputs[layer], embedded=embedded, start_layer=layer
+        ).final
         for v in vertices
     }
     c_sv = cost_supervised(
@@ -553,15 +480,14 @@ def k_numeric_oracle(
     grads_sv, grads_g = numeric_cost_gradients(arch, unitaries, dataset, h, include_graph)
     t = arch.residual_count
     sv_mats = _assemble_from_coefficients(arch, grads_sv)
+    g_mats = _assemble_from_coefficients(arch, grads_g) if include_graph else None
     layers = []
     for l in range(arch.num_unitary_layers):
         layer = []
         for p in range(arch.width_out(l)):
             k = eta * 2.0 ** (t - 1) * sv_mats[l][p]
             if include_graph:
-                stack = _pauli_stack(arch.width_in(l) + 1)
-                kg = np.tensordot(grads_g[l][p], stack, axes=1)
-                k = k + gamma * eta * 2.0 ** (t - 1) * GRAPH_GRADIENT_SCALE * kg
+                k = k + gamma * eta * 2.0 ** (t - 1) * GRAPH_GRADIENT_SCALE * g_mats[l][p]
             layer.append(k)
         layers.append(tuple(layer))
     return UpdateGenerators(arch, tuple(layers))
@@ -636,22 +562,15 @@ def train(
 ) -> TrainingTrace:
     """Run the epoch loop; deterministic given (arch, dataset, config).
 
-    Each epoch computes generators from the epoch-start unitaries (analytic
-    engine in ``analytic``/``hybrid`` modes, finite differences in
-    ``numeric``), applies one synchronous rotation to every perceptron, then
-    records all four costs at the new unitaries. ``analytic`` mode refuses
-    nets deeper than two hidden layers; ``hybrid`` and ``numeric`` take any
-    depth.
+    Each epoch computes generators from the epoch-start unitaries (closed
+    form in ``hybrid`` mode, finite differences in ``numeric``), applies one
+    synchronous rotation to every perceptron, then records all four costs at
+    the new unitaries. Both modes take any depth.
     """
     if dataset.input_qubits != arch.input_qubits:
         raise DimensionError(
             f"dataset states have {dataset.input_qubits} qubits, "
             f"architecture expects {arch.input_qubits}"
-        )
-    if config.k_mode == "analytic" and arch.num_hidden_layers > 2:
-        raise ArchitectureError(
-            "analytic mode supports at most two hidden layers; "
-            "use hybrid or numeric for deeper nets"
         )
     unitaries = initial_unitaries or init_unitaries(
         arch, np.random.default_rng([config.seed, 1])
@@ -668,9 +587,7 @@ def train(
     for _ in range(config.epochs):
         t0 = time.perf_counter()
         if config.k_mode == "numeric":
-            generators = k_numeric_oracle(
-                arch, unitaries, dataset, config.gamma, config.eta, config.finite_diff_step
-            )
+            generators = k_numeric_oracle(arch, unitaries, dataset, config.gamma, config.eta)
         else:
             generators = _analytic_generators(
                 arch, unitaries, dataset, records, config, embedded

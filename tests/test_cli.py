@@ -136,6 +136,23 @@ class TestTrain:
         assert _run("train", "--config", cfg_file, "--out", tmp_path / "r") == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_custom_topology_is_not_offered(self, tmp_path, capsys):
+        # No flag or config field carries an edge list, so "custom" could never run.
+        with pytest.raises(SystemExit) as exc:
+            _run("train", "--topology", "custom", "--out", tmp_path / "r")
+        assert exc.value.code == 2
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"topology": "custom"}))
+        capsys.readouterr()
+        assert _run("train", "--config", cfg_file, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert "'line'" in err and "'connected_clusters'" in err
+
+    def test_oversized_architecture_exits_before_allocating(self, tmp_path, capsys):
+        assert _run("train", "--arch", "8,~12,8", "--out", tmp_path / "r") == 2
+        assert "GiB" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestSweep:
     def test_aggregates_match_raw_cell_traces(self, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Tests for architectures, perceptron layers, and residual feedforward."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resqnn.netcore import (
+    MAX_DENSE_BYTES,
     Architecture,
     ArchitectureError,
     ForwardRecord,
@@ -14,9 +17,7 @@ from resqnn.netcore import (
     arch_to_string,
     embed_network,
     forward,
-    forward_from,
     init_unitaries,
-    layer_forward,
     load_checkpoint,
     residual_add,
     save_checkpoint,
@@ -85,6 +86,20 @@ class TestArchitecture:
             with pytest.raises(ArchitectureError):
                 arch_from_string(text)
 
+    def test_dense_bytes_matches_built_matrices(self):
+        arch = arch_from_string("2,~3,2")
+        unis = init_unitaries(arch, np.random.default_rng(0))
+        built = sum(m.nbytes for layer in embed_network(arch, unis) for m in layer)
+        built += sum(u.nbytes for layer in unis.layers for u in layer)
+        assert arch.dense_bytes == built
+
+    def test_rejects_architecture_over_memory_limit(self):
+        # 2**20 x 2**20 embedded perceptrons; only the estimate is computed.
+        estimate = 16 * (12 * (4**20 + 4**9) + 8 * (4**20 + 4**13))
+        assert estimate > MAX_DENSE_BYTES
+        with pytest.raises(ArchitectureError, match=re.escape(f"{estimate / 2**30:,.1f} GiB")):
+            arch_from_string("8,~12,8")
+
     @given(seed=seeds)
     @settings(max_examples=50, deadline=None)
     def test_string_round_trip_random(self, seed):
@@ -125,6 +140,13 @@ class TestUnitaries:
             LayerUnitaries(arch, ((np.eye(4), np.eye(4)),))
 
 
+def single_layer_output(perceptrons, width_in, width_out, rho):
+    """Output of a one-layer net (no hidden layers) with the given perceptrons."""
+    arch = Architecture((width_in, width_out), ())
+    unis = LayerUnitaries(arch, (tuple(perceptrons),))
+    return forward(arch, unis, rho).final
+
+
 class TestLayerForward:
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
@@ -133,20 +155,20 @@ class TestLayerForward:
         arch = Architecture((2, 3), ())
         unis = init_unitaries(arch, rng)
         rho = OperatorState(oracles.random_density(2, rng), 2)
-        out = layer_forward(rho, unis.layers[0], 2, 3)
+        out = single_layer_output(unis.layers[0], 2, 3, rho)
         expected = oracles.layer_forward_monolithic(rho.matrix, list(unis.layers[0]), 2, 3)
         np.testing.assert_allclose(out.matrix, expected, atol=1e-11)
 
     def test_identity_perceptron_resets_to_ground(self):
         rng = np.random.default_rng(1)
         rho = OperatorState(oracles.random_density(1, rng), 1)
-        out = layer_forward(rho, [np.eye(4, dtype=complex)], 1, 1)
+        out = single_layer_output([np.eye(4, dtype=complex)], 1, 1, rho)
         np.testing.assert_allclose(out.matrix, [[1, 0], [0, 0]], atol=1e-12)
 
     def test_swap_perceptron_routes_input_through(self):
         rng = np.random.default_rng(2)
         rho = OperatorState(oracles.random_density(1, rng), 1)
-        out = layer_forward(rho, [SWAP], 1, 1)
+        out = single_layer_output([SWAP], 1, 1, rho)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_perceptrons_apply_in_ascending_order(self):
@@ -155,7 +177,7 @@ class TestLayerForward:
         # second swap then trades two |0> qubits.
         rng = np.random.default_rng(3)
         rho = OperatorState(oracles.random_density(1, rng), 1)
-        out = layer_forward(rho, [SWAP, SWAP], 1, 2)
+        out = single_layer_output([SWAP, SWAP], 1, 2, rho)
         expected = tensor_product(rho.matrix, np.array([[1, 0], [0, 0]], dtype=complex))
         np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
@@ -164,7 +186,7 @@ class TestLayerForward:
         arch = Architecture((2, 3), ())
         unis = init_unitaries(arch, rng)
         rho = OperatorState(oracles.random_density(2, rng), 2)
-        out = layer_forward(rho, unis.layers[0], 2, 3)
+        out = single_layer_output(unis.layers[0], 2, 3, rho)
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
         assert_valid_state(out)
 
@@ -251,8 +273,25 @@ class TestForward:
         rho = random_pure_state(2, rng).density()
         record = forward(arch, unis, rho)
         for start in range(arch.num_unitary_layers):
-            resumed = forward_from(arch, unis, start, record.layer_inputs[start])
-            np.testing.assert_allclose(resumed.matrix, record.final.matrix, atol=1e-11)
+            tail = forward(arch, unis, record.layer_inputs[start], start_layer=start)
+            np.testing.assert_allclose(tail.final.matrix, record.final.matrix, atol=1e-11)
+            for mine, full in zip(tail.layer_outputs, record.layer_outputs[start:]):
+                np.testing.assert_allclose(mine.matrix, full.matrix, atol=1e-11)
+
+    def test_start_layer_rejections(self):
+        arch = arch_from_string("2,~3,~3,2")
+        rng = np.random.default_rng(16)
+        unis = init_unitaries(arch, rng)
+        record = forward(arch, unis, random_pure_state(2, rng).density())
+        # Layer 1 takes the 3 hidden qubits, of trace 2 after one shortcut.
+        with pytest.raises(DimensionError):
+            forward(arch, unis, record.layer_inputs[0], start_layer=1)
+        unit_trace = OperatorState(record.layer_inputs[1].matrix / 2, 3)
+        with pytest.raises(ValueError, match="trace 2"):
+            forward(arch, unis, unit_trace, start_layer=1)
+        for start in (-1, arch.num_unitary_layers):
+            with pytest.raises(ArchitectureError):
+                forward(arch, unis, record.layer_inputs[0], start_layer=start)
 
     def test_embedded_cache_gives_identical_results(self):
         arch = arch_from_string("2,~3,2")

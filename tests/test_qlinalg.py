@@ -1,5 +1,8 @@
 """Tests for the multi-qubit linear-algebra layer."""
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,6 @@ from resqnn.qlinalg import (
     ground_state_projector,
     haar_random_unitary,
     hs_distance,
-    partial_trace,
-    partial_trace_keep,
-    pauli_basis,
     pauli_coefficients,
     ptrace_qubits,
     random_pure_state,
@@ -36,6 +36,12 @@ def rng_from(seed):
     return np.random.default_rng(seed)
 
 
+def pauli_products(n):
+    """All n-qubit Pauli products, first qubit's factor varying slowest."""
+    singles = (qla.PAULI_I, qla.PAULI_X, qla.PAULI_Y, qla.PAULI_Z)
+    return [reduce(np.kron, combo) for combo in itertools.product(singles, repeat=n)]
+
+
 class TestStates:
     def test_operator_state_rejects_non_hermitian(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -46,7 +52,7 @@ class TestStates:
         with pytest.raises(DimensionError):
             OperatorState(np.eye(4, dtype=complex), 1)
         with pytest.raises(DimensionError):
-            OperatorState.from_matrix(np.eye(3, dtype=complex))
+            OperatorState(np.eye(3, dtype=complex), 1)
 
     def test_operator_state_rejects_non_finite(self):
         bad = np.array([[np.inf, 0], [0, 1]], dtype=complex)
@@ -54,13 +60,18 @@ class TestStates:
             OperatorState(bad, 1)
 
     def test_operator_state_is_read_only(self):
-        state = OperatorState.from_matrix(np.eye(2, dtype=complex) / 2)
+        state = OperatorState(np.eye(2, dtype=complex) / 2, 1)
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 5.0
 
     def test_pure_state_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0], dtype=complex), 1)
+
+    def test_pure_state_rejects_non_vector(self):
+        # Four normalized amplitudes, but laid out as a matrix.
+        with pytest.raises(DimensionError):
+            PureState(np.eye(2, dtype=complex) / np.sqrt(2), 2)
 
     def test_pure_state_density_is_projector(self):
         psi = PureState(np.array([1, 1j], dtype=complex) / np.sqrt(2), 1)
@@ -98,17 +109,17 @@ class TestTensorAndTrace:
         rng = rng_from(seed)
         rho = oracles.random_density(na, rng)
         sigma = oracles.random_density(nb, rng)
-        joint = OperatorState(tensor_product(rho, sigma), na + nb)
-        left = partial_trace(joint, [na, nb], 0)
-        right = partial_trace(joint, [na, nb], 1)
-        np.testing.assert_allclose(left.matrix, rho * np.trace(sigma), atol=1e-12)
-        np.testing.assert_allclose(right.matrix, sigma * np.trace(rho), atol=1e-12)
+        joint = tensor_product(rho, sigma)
+        left = ptrace_qubits(joint, na + nb, range(na))
+        right = ptrace_qubits(joint, na + nb, range(na, na + nb))
+        np.testing.assert_allclose(left, rho * np.trace(sigma), atol=1e-12)
+        np.testing.assert_allclose(right, sigma * np.trace(rho), atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
         for keep in (0, 1):
-            reduced = partial_trace(bell.density(), [1, 1], keep)
-            np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
+            reduced = ptrace_qubits(bell.density().matrix, 2, [keep])
+            np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     @given(seed=seeds, n=st.integers(2, 4))
     @settings(max_examples=30, deadline=None)
@@ -124,7 +135,7 @@ class TestTensorAndTrace:
     def test_ptrace_preserves_trace_and_state_validity(self, seed, n):
         rng = rng_from(seed)
         state = OperatorState(oracles.random_density(n + 1, rng), n + 1)
-        reduced = partial_trace_keep(state, [1] * (n + 1), list(range(1, n + 1)))
+        reduced = OperatorState(ptrace_qubits(state.matrix, n + 1, range(1, n + 1)), n)
         assert reduced.trace() == pytest.approx(state.trace(), abs=1e-12)
         assert_valid_state(reduced)
 
@@ -132,16 +143,18 @@ class TestTensorAndTrace:
         rng = rng_from(7)
         rho = oracles.random_density(1, rng)
         sigma = oracles.random_density(2, rng)
-        joint = OperatorState(tensor_product(rho, sigma), 3)
-        kept = partial_trace_keep(joint, [1, 1, 1], [1, 2])
-        np.testing.assert_allclose(kept.matrix, sigma, atol=1e-12)
+        joint = tensor_product(rho, sigma)
+        kept = ptrace_qubits(joint, 3, [1, 2])
+        np.testing.assert_allclose(kept, sigma, atol=1e-12)
 
     def test_partial_trace_rejects_bad_partition(self):
-        state = OperatorState.from_matrix(np.eye(4, dtype=complex) / 4)
+        mixed = np.eye(4, dtype=complex) / 4
         with pytest.raises(DimensionError):
-            partial_trace(state, [1, 2], 0)
+            ptrace_qubits(mixed, 3, [0])
         with pytest.raises(DimensionError):
-            partial_trace(state, [1, 1], 2)
+            ptrace_qubits(mixed, 2, [2])
+        with pytest.raises(DimensionError):
+            ptrace_qubits(mixed, 2, [-1])
 
     def test_ground_state_projector(self):
         proj = ground_state_projector(2)
@@ -263,7 +276,7 @@ class TestDistances:
 
     def test_fidelity_dimension_mismatch(self):
         psi = random_pure_state(1, rng_from(3))
-        state = OperatorState.from_matrix(np.eye(4, dtype=complex) / 4)
+        state = OperatorState(np.eye(4, dtype=complex) / 4, 2)
         with pytest.raises(DimensionError):
             fidelity_pure(psi, state)
 
@@ -286,20 +299,27 @@ class TestDistances:
 
 class TestPauliBasis:
     def test_size_order_and_first_element(self):
-        basis = pauli_basis(2)
-        assert len(basis) == 16
-        np.testing.assert_array_equal(basis[0], np.eye(4))
-        np.testing.assert_array_equal(basis[1], np.kron(qla.PAULI_I, qla.PAULI_X))
-        np.testing.assert_array_equal(basis[4], np.kron(qla.PAULI_X, qla.PAULI_I))
-        np.testing.assert_array_equal(basis[15], np.kron(qla.PAULI_Z, qla.PAULI_Z))
+        # Coefficient a of a Pauli product is 1 at its lexicographic
+        # (I, X, Y, Z) index, the first qubit's factor varying slowest.
+        cases = {
+            0: np.eye(4),
+            1: np.kron(qla.PAULI_I, qla.PAULI_X),
+            4: np.kron(qla.PAULI_X, qla.PAULI_I),
+            15: np.kron(qla.PAULI_Z, qla.PAULI_Z),
+        }
+        for index, product in cases.items():
+            coeffs = pauli_coefficients(product)
+            assert coeffs.shape == (16,)
+            np.testing.assert_allclose(coeffs, np.eye(16)[index], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_orthogonality(self, n):
-        basis = pauli_basis(n)
-        for a, pa in enumerate(basis):
-            for b, pb in enumerate(basis):
-                expected = 2**n if a == b else 0.0
-                assert np.trace(pa @ pb) == pytest.approx(expected, abs=1e-12)
+        # tr(P_a P_b) / 2**n = delta_ab: each product's coefficients are one-hot.
+        basis = pauli_products(n)
+        for b, pb in enumerate(basis):
+            np.testing.assert_allclose(
+                pauli_coefficients(pb), np.eye(4**n)[b], atol=1e-12
+            )
 
     @given(seed=seeds, n=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
@@ -307,7 +327,7 @@ class TestPauliBasis:
         h = oracles.random_hermitian(n, rng_from(seed))
         coeffs = pauli_coefficients(h)
         assert np.abs(coeffs.imag).max() <= 1e-10
-        rebuilt = sum(c * p for c, p in zip(coeffs, pauli_basis(n)))
+        rebuilt = sum(c * p for c, p in zip(coeffs, pauli_products(n)))
         np.testing.assert_allclose(rebuilt, h, atol=1e-10)
 
     def test_coefficients_of_basis_element(self):

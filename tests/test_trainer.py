@@ -20,10 +20,7 @@ from resqnn.trainer import (
     UpdateGenerators,
     graph_generators,
     k_full,
-    k_graph_one_hidden,
     k_numeric_oracle,
-    k_supervised_one_hidden,
-    k_supervised_two_hidden,
     numeric_cost_gradients,
     supervised_generators,
     train,
@@ -139,6 +136,12 @@ class TestOracleEquivalence:
         assert _max_generator_diff(
             UpdateGenerators(arch, tuple(tuple(3.0 * k for k in l) for l in k1.layers)), k3
         ) < 1e-12
+        # Defaults: eta 1 and perceptrons embedded on the fly.
+        assert _max_generator_diff(
+            supervised_generators(arch, uni, sup, list(ds.supervised_targets)), k1
+        ) == 0.0
+        g1 = graph_generators(arch, uni, recs, ds.adjacency, 1.0, emb)
+        assert _max_generator_diff(graph_generators(arch, uni, recs, ds.adjacency), g1) == 0.0
 
 
 class TestAscent:
@@ -193,23 +196,6 @@ class TestModes:
             assert rh.c_sv == pytest.approx(rn.c_sv, abs=1e-6)
             assert rh.c_g == pytest.approx(rn.c_g, abs=1e-6)
 
-    def test_analytic_and_hybrid_identical_at_shallow_depth(self):
-        arch = arch_from_string("2,~3,2")
-        spec = build_graph_spec("line", 4, 2)
-        ds = generate_dataset(spec, 2, delta=0.3, seed=8)
-        trace_a = train(arch, ds, TrainingConfig(epochs=5, seed=8, gamma=-0.5, k_mode="analytic"))
-        trace_h = train(arch, ds, TrainingConfig(epochs=5, seed=8, gamma=-0.5, k_mode="hybrid"))
-        for la, lh in zip(trace_a.final_unitaries.layers, trace_h.final_unitaries.layers):
-            for ua, uh in zip(la, lh):
-                assert np.array_equal(ua, uh)
-
-    def test_analytic_mode_rejects_three_hidden_layers(self):
-        arch = arch_from_string("2,~3,~3,~3,2")
-        spec = build_graph_spec("line", 4, 2)
-        ds = generate_dataset(spec, 2, delta=0.3, seed=1)
-        with pytest.raises(ArchitectureError, match="two hidden"):
-            train(arch, ds, TrainingConfig(epochs=1, seed=1, k_mode="analytic"))
-
     def test_hybrid_mode_accepts_three_hidden_layers(self):
         arch = arch_from_string("2,~3,~3,~3,2")
         spec = build_graph_spec("line", 4, 2)
@@ -239,37 +225,6 @@ class TestModes:
         for lt, lm in zip(trace.final_unitaries.layers, uni.layers):
             for ut, um in zip(lt, lm):
                 assert np.array_equal(ut, um)
-
-
-class TestFamilyWrappers:
-    def test_one_hidden_wrappers_match_general_engine(self):
-        arch, ds, uni, emb, recs = _setup("2,~3,2", 17)
-        sup = [recs[v] for v in ds.spec.supervised_indices]
-        general_sv = supervised_generators(arch, uni, sup, list(ds.supervised_targets), 1.0, emb)
-        wrapped_sv = k_supervised_one_hidden(arch, uni, sup, list(ds.supervised_targets))
-        assert _max_generator_diff(general_sv, wrapped_sv) < 1e-12
-        general_g = graph_generators(arch, uni, recs, ds.adjacency, 1.0, emb)
-        wrapped_g = k_graph_one_hidden(arch, uni, recs, ds.adjacency)
-        assert _max_generator_diff(general_g, wrapped_g) < 1e-12
-
-    def test_two_hidden_wrapper_matches_general_engine(self):
-        arch, ds, uni, emb, recs = _setup("2,~3,~3,2", 18)
-        sup = [recs[v] for v in ds.spec.supervised_indices]
-        general = supervised_generators(arch, uni, sup, list(ds.supervised_targets), 1.0, emb)
-        wrapped = k_supervised_two_hidden(arch, uni, sup, list(ds.supervised_targets))
-        assert _max_generator_diff(general, wrapped) < 1e-12
-
-    def test_wrappers_reject_wrong_depth_or_flags(self):
-        arch2, ds2, uni2, emb2, recs2 = _setup("2,~3,~3,2", 19)
-        sup2 = [recs2[v] for v in ds2.spec.supervised_indices]
-        with pytest.raises(ArchitectureError):
-            k_supervised_one_hidden(arch2, uni2, sup2, list(ds2.supervised_targets))
-        arch1, ds1, uni1, emb1, recs1 = _setup("2,3,2", 19)
-        sup1 = [recs1[v] for v in ds1.spec.supervised_indices]
-        with pytest.raises(ArchitectureError, match="residual"):
-            k_supervised_one_hidden(arch1, uni1, sup1, list(ds1.supervised_targets))
-        with pytest.raises(ArchitectureError):
-            k_supervised_two_hidden(arch1, uni1, sup1, list(ds1.supervised_targets))
 
 
 class TestUpdateStep:
@@ -397,10 +352,9 @@ class TestTrainingLoop:
             TrainingConfig(epochs=1, epsilon=-0.1)
         with pytest.raises(ValueError, match="gamma"):
             TrainingConfig(epochs=1, gamma=0.5)
-        with pytest.raises(ValueError, match="k_mode"):
-            TrainingConfig(epochs=1, k_mode="magic")
-        with pytest.raises(ValueError, match="finite_diff_step"):
-            TrainingConfig(epochs=1, finite_diff_step=1e-9)
+        for mode in ("magic", "analytic"):
+            with pytest.raises(ValueError, match="k_mode"):
+                TrainingConfig(epochs=1, k_mode=mode)
         with pytest.raises(ValueError, match="non-positive"):
             k_full(None, None, gamma=0.5)  # gamma checked before operands
 
