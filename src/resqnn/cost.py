@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qlinalg import DimensionError, OperatorState, PureState, fidelity_pure, hs_distance
+from .qlinalg import DimensionError, OperatorState, PureState, fidelity_pure
 
 __all__ = [
     "CostReport",
@@ -57,22 +57,39 @@ def cost_test(
     return _mean_fidelity(outputs, targets, residual_count)
 
 
+def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> np.ndarray:
+    """Validated edge weights: symmetric, built from the upper triangle, zero diagonal.
+
+    Both graph consumers (the cost here and the trainer's Laplacian seeds)
+    read the adjacency through this one check, so they agree on which pairs
+    count; self-loops carry no spread and are ignored.
+    """
+    adj = np.asarray(adjacency, dtype=float)
+    if adj.shape != (num_vertices, num_vertices):
+        raise DimensionError(
+            f"adjacency shape {adj.shape} does not match {num_vertices} vertices"
+        )
+    if not np.isfinite(adj).all():
+        raise ValueError("adjacency matrix contains non-finite entries")
+    if adj.size and np.abs(adj - adj.T).max() > 1e-12:
+        raise ValueError("adjacency matrix must be symmetric")
+    upper = np.triu(adj, 1)
+    return upper + upper.T
+
+
 def cost_graph(
     outputs: Sequence[OperatorState], adjacency: np.ndarray, residual_count: int
 ) -> float:
     """Adjacency-weighted Hilbert-Schmidt spread over ordered vertex pairs."""
-    adj = np.asarray(adjacency, dtype=float)
-    n = len(outputs)
-    if adj.shape != (n, n):
-        raise DimensionError(f"adjacency shape {adj.shape} does not match {n} outputs")
-    if np.abs(adj - adj.T).max() > 1e-12:
-        raise ValueError("adjacency matrix must be symmetric")
-    total = 0.0
-    for v in range(n):
-        for w in range(n):
-            if adj[v, w] != 0.0 and v != w:
-                total += adj[v, w] * hs_distance(outputs[v], outputs[w])
-    return float(total) / 2.0**residual_count
+    adj = _neighbor_weights(adjacency, len(outputs))
+    rows, cols = np.nonzero(np.triu(adj))
+    if rows.size == 0:
+        return 0.0
+    finals = np.stack([out.matrix for out in outputs])
+    diff = finals[rows] - finals[cols]
+    # ||d||_F^2 equals tr(d @ d) for Hermitian d and is exactly 0 when d is.
+    spread = np.einsum("eij,eij->e", diff, diff.conj()).real
+    return 2.0 * float(adj[rows, cols] @ spread) / 2.0**residual_count
 
 
 def cost_full(c_supervised: float, c_graph: float, gamma: float) -> float:

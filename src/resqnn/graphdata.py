@@ -316,3 +316,5 @@ def load_dataset(path: str | Path) -> GraphDataset:
         )
     except KeyError as exc:
         raise ValueError(f"malformed dataset {path}: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed dataset {path}: {exc}") from exc

@@ -9,8 +9,7 @@ Two light wrapper types carry state semantics:
 * :class:`OperatorState` — a Hermitian operator on ``num_qubits`` qubits.
   Residual shortcuts add density matrices, so the trace may exceed 1 (it is
   ``2**t`` after ``t`` shortcut additions); positivity is preserved up to
-  roundoff and is checked explicitly by :func:`assert_valid_state` rather
-  than on every construction.
+  roundoff and is not checked on construction (the test suite checks it).
 * :class:`PureState` — a normalized amplitude vector.
 
 Plain ``numpy.ndarray`` is used for everything without state semantics
@@ -28,19 +27,16 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_TOL",
-    "PSD_TOL",
     "NORM_TOL",
     "DimensionError",
     "NonHermitianError",
     "OperatorState",
     "PureState",
-    "assert_valid_state",
     "embed_operator",
     "exp_i_hermitian",
     "fidelity_pure",
     "ground_state_projector",
     "haar_random_unitary",
-    "hs_distance",
     "pauli_coefficients",
     "ptrace_qubits",
     "random_pure_state",
@@ -49,8 +45,6 @@ __all__ = [
 
 #: Absolute tolerance for Hermiticity checks.
 HERMITIAN_TOL = 1e-10
-#: Eigenvalues above this (slightly negative) floor count as positive.
-PSD_TOL = -1e-9
 #: Absolute tolerance for pure-state normalization.
 NORM_TOL = 1e-12
 
@@ -152,17 +146,6 @@ class PureState:
     def density(self) -> OperatorState:
         """Rank-one projector |psi><psi| as an :class:`OperatorState`."""
         return OperatorState(np.outer(self.amplitudes, self.amplitudes.conj()), self.num_qubits)
-
-
-def assert_valid_state(state: OperatorState, psd_tol: float = PSD_TOL) -> None:
-    """Raise if ``state`` is not positive semidefinite up to ``psd_tol``.
-
-    Hermiticity is already enforced at construction; this adds the (more
-    expensive) eigenvalue floor check used by tests and debugging paths.
-    """
-    eigs = np.linalg.eigvalsh(state.matrix)
-    if eigs.min() < psd_tol:
-        raise ValueError(f"state has eigenvalue {eigs.min():.3e} below {psd_tol:.0e}")
 
 
 def tensor_product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
@@ -289,14 +272,6 @@ def fidelity_pure(target: PureState, state: OperatorState) -> float:
         )
     value = np.vdot(target.amplitudes, state.matrix @ target.amplitudes)
     return float(value.real)
-
-
-def hs_distance(a: OperatorState, b: OperatorState) -> float:
-    """Hilbert-Schmidt distance trace((a - b)^2); the difference is Hermitian."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionError(f"operands have {a.num_qubits} and {b.num_qubits} qubits")
-    diff = a.matrix - b.matrix
-    return float(np.trace(diff @ diff).real)
 
 
 @lru_cache(maxsize=8)

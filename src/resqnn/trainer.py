@@ -10,21 +10,31 @@ For perceptron ``j`` of layer ``l`` the generator is built from commutators
 of two operators on the layer's workspace (previous-layer qubits plus this
 layer's qubits):
 
-* the *forward* operator: the layer's recorded input (shortcut additions
-  included), tensored with ancilla projectors and conjugated by the layer's
-  perceptrons up to and including ``j``;
-* the *backward* operator: the target projector (or, for the graph term, the
-  difference of two vertices' final outputs) pulled back through the adjoint
+* the *forward* operator: one vertex's recorded layer input (shortcut
+  additions included), tensored with ancilla projectors and conjugated by the
+  layer's perceptrons up to and including ``j``;
+* the *backward* operator: that vertex's seed pulled back through the adjoint
   of everything downstream — remaining perceptrons of this layer, deeper
   layers, and the corner-block adjoints of downstream shortcuts.
 
-``K_j^l = eta * c_l * i * sum tr_rest([forward, backward])`` where ``tr_rest``
-keeps only the qubits perceptron ``j`` acts on, and the dimensional prefactor
-``c_l`` is ``2**m_{l-1} / S`` for the supervised sum over the ``S``
-supervised vertices and ``2**(m_{l-1}+1)`` for the graph sum over unordered
-neighbor pairs. Because shortcut additions enter both the recorded inputs and
-the adjoint pull-back, expanding the commutators reproduces one term per
-forward/backward path through the network, each path exactly once.
+``K_j^l = eta * 2**m_{l-1} * i * sum_v tr_rest([forward_v, backward(seed_v)])``
+where ``tr_rest`` keeps only the qubits perceptron ``j`` acts on. Because
+shortcut additions enter both the recorded inputs and the adjoint pull-back,
+expanding the commutators reproduces one term per forward/backward path
+through the network, each path exactly once.
+
+Both cost terms share one backward pass per vertex, seeded with
+
+    seed_v = [v in S] / S * |phi_v><phi_v| + 2 * gamma * sum_w L_vw rho_w
+
+(``S`` supervised vertices, targets ``phi_v``, final outputs ``rho_w``, graph
+Laplacian ``L = D - A``). The paper's graph generator sums, over unordered
+neighbor pairs, the pass of ``in_v - in_w`` seeded with ``rho_v - rho_w`` at
+prefactor ``2**(m_{l-1}+1)``. The commutator is bilinear in (forward input,
+seed), so summing the pairs leaves vertex ``v`` the seed
+``sum_w A_vw (rho_v - rho_w) = (L rho)_v``; the gamma term carries the factor
+2 because its prefactor is twice the supervised one. Vertices whose seed is
+exactly zero (unsupervised ones at gamma 0) run no pass.
 
 Finite-difference generators
 ----------------------------
@@ -46,11 +56,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cost import CostReport, cost_full, cost_graph, cost_supervised, cost_test
+from .cost import (
+    CostReport,
+    _neighbor_weights,
+    cost_full,
+    cost_graph,
+    cost_supervised,
+    cost_test,
+)
 from .graphdata import GraphDataset
 from .netcore import (
     Architecture,
@@ -165,16 +182,6 @@ class TrainingTrace:
 # ---------------------------------------------------------------------------
 
 
-def _empty_accumulator(arch: Architecture) -> list[list[np.ndarray]]:
-    return [
-        [
-            np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=np.complex128)
-            for _ in range(arch.width_out(l))
-        ]
-        for l in range(arch.num_unitary_layers)
-    ]
-
-
 def _layer_pass(
     arch: Architecture,
     layer: int,
@@ -225,35 +232,65 @@ def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.n
     return np.ascontiguousarray(view[:, 0, :, 0])
 
 
-def _accumulate_commutators(
+def _vertex_seeds(
+    records: Sequence[ForwardRecord],
+    supervised: Sequence[int],
+    targets: Sequence[PureState],
+    gamma: float,
+    adjacency: np.ndarray | None,
+) -> np.ndarray:
+    """Per-vertex backward seeds ``[v in S]/|S| |phi_v><phi_v| + 2 gamma (L rho^out)_v``."""
+    dim = records[0].final.matrix.shape[0]
+    if gamma == 0.0:
+        seeds = np.zeros((len(records), dim, dim), dtype=np.complex128)
+    else:
+        seeds = 2.0 * gamma * _laplacian_seeds(records, adjacency)
+    for v, phi in zip(supervised, targets):
+        seeds[v] += np.outer(phi.amplitudes, phi.amplitudes.conj()) / len(targets)
+    return seeds
+
+
+def _laplacian_seeds(records: Sequence[ForwardRecord], adjacency: np.ndarray) -> np.ndarray:
+    """``sum_w L_vw rho_w^out`` for every vertex ``v``, with ``L = D - A``."""
+    adj = _neighbor_weights(adjacency, len(records))
+    laplacian = np.diag(adj.sum(axis=1)) - adj
+    finals = np.stack([rec.final.matrix for rec in records])
+    return np.tensordot(laplacian, finals, axes=1)
+
+
+def _vertex_generators(
     arch: Architecture,
     embedded: list[list[np.ndarray]],
-    items: Iterable[tuple[Sequence[np.ndarray], np.ndarray, float]],
-) -> list[list[np.ndarray]]:
-    """Sum weighted per-perceptron commutator traces over training items.
+    records: Sequence[ForwardRecord],
+    seeds: np.ndarray,
+    eta: float,
+) -> UpdateGenerators:
+    """``eta * 2**m_{l-1} * sum_v i tr_rest([forward_v, backward(seed_v)])``.
 
-    Each item is (per-layer input matrices, seed operator on the output
-    qubits, weight). The seed is pulled backward layer by layer; flagged
-    layers also contribute their shortcut's corner-block adjoint.
+    One backward pass per vertex whose seed is not exactly zero: the seed is
+    pulled back layer by layer against the vertex's own recorded inputs, and
+    flagged layers also contribute their shortcut's corner-block adjoint.
     """
-    acc = _empty_accumulator(arch)
-    for layer_inputs, seed, weight in items:
+    acc = [
+        [np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=np.complex128)
+         for _ in range(arch.width_out(l))]
+        for l in range(arch.num_unitary_layers)
+    ]
+    for rec, seed in zip(records, seeds):
+        if not seed.any():
+            continue
         back = seed
         for l in range(arch.num_unitary_layers - 1, -1, -1):
-            contribs, pulled = _layer_pass(arch, l, embedded[l], layer_inputs[l], back)
+            contribs, pulled = _layer_pass(
+                arch, l, embedded[l], rec.layer_inputs[l].matrix, back
+            )
             for p, c in enumerate(contribs):
-                acc[l][p] += weight * c
+                acc[l][p] += c
             if arch.is_residual(l):
                 pulled = pulled + _corner_block(back, arch.width_in(l), arch.delta_m(l))
             back = pulled
-    return acc
-
-
-def _scaled_generators(
-    arch: Architecture, acc: list[list[np.ndarray]], layer_scale
-) -> UpdateGenerators:
     layers = tuple(
-        tuple(layer_scale(l) * k for k in layer) for l, layer in enumerate(acc)
+        tuple(eta * 2.0 ** arch.width_in(l) * k for k in layer) for l, layer in enumerate(acc)
     )
     return UpdateGenerators(arch, layers)
 
@@ -273,19 +310,8 @@ def supervised_generators(
         )
     if embedded is None:
         embedded = embed_network(arch, unitaries)
-    items = (
-        (
-            [state.matrix for state in rec.layer_inputs],
-            phi.density().matrix,
-            1.0,
-        )
-        for rec, phi in zip(records, targets)
-    )
-    acc = _accumulate_commutators(arch, embedded, items)
-    num_pairs = len(records)
-    return _scaled_generators(
-        arch, acc, lambda l: eta * 2.0 ** arch.width_in(l) / num_pairs
-    )
+    seeds = _vertex_seeds(records, range(len(records)), targets, 0.0, None)
+    return _vertex_generators(arch, embedded, records, seeds, eta)
 
 
 def graph_generators(
@@ -301,26 +327,10 @@ def graph_generators(
     Training subtracts these (``gamma <= 0``), shrinking the output spread
     between adjacent vertices.
     """
-    adj = np.asarray(adjacency, dtype=float)
-    n = len(records)
-    if adj.shape != (n, n):
-        raise DimensionError(f"adjacency shape {adj.shape} does not match {n} records")
+    seeds = _laplacian_seeds(records, adjacency)
     if embedded is None:
         embedded = embed_network(arch, unitaries)
-
-    def edge_items():
-        for v in range(n):
-            for w in range(v + 1, n):
-                if adj[v, w] != 0.0:
-                    inputs = [
-                        records[v].layer_inputs[l].matrix - records[w].layer_inputs[l].matrix
-                        for l in range(arch.num_unitary_layers)
-                    ]
-                    seed = records[v].final.matrix - records[w].final.matrix
-                    yield inputs, seed, float(adj[v, w])
-
-    acc = _accumulate_commutators(arch, embedded, edge_items())
-    return _scaled_generators(arch, acc, lambda l: eta * 2.0 ** (arch.width_in(l) + 1))
+    return _vertex_generators(arch, embedded, records, seeds, 2.0 * eta)
 
 
 def k_full(
@@ -526,20 +536,20 @@ def _cost_report(
 
 def _analytic_generators(
     arch: Architecture,
-    unitaries: LayerUnitaries,
     dataset: GraphDataset,
     records: Sequence[ForwardRecord],
     config: TrainingConfig,
     embedded: list[list[np.ndarray]],
 ) -> UpdateGenerators:
-    sup_records = [records[v] for v in dataset.spec.supervised_indices]
-    k_sv = supervised_generators(
-        arch, unitaries, sup_records, list(dataset.supervised_targets), config.eta, embedded
+    """``k_full`` of both cost terms from one backward pass per vertex."""
+    seeds = _vertex_seeds(
+        records,
+        dataset.spec.supervised_indices,
+        dataset.supervised_targets,
+        config.gamma,
+        dataset.adjacency,
     )
-    if config.gamma == 0.0:
-        return k_sv
-    k_g = graph_generators(arch, unitaries, records, dataset.adjacency, config.eta, embedded)
-    return k_full(k_sv, k_g, config.gamma)
+    return _vertex_generators(arch, embedded, records, seeds, config.eta)
 
 
 def _plateau_epoch(values: Sequence[float]) -> int | None:
@@ -589,9 +599,7 @@ def train(
         if config.k_mode == "numeric":
             generators = k_numeric_oracle(arch, unitaries, dataset, config.gamma, config.eta)
         else:
-            generators = _analytic_generators(
-                arch, unitaries, dataset, records, config, embedded
-            )
+            generators = _analytic_generators(arch, dataset, records, config, embedded)
         unitaries = update_step(unitaries, generators, config.epsilon)
         embedded = embed_network(arch, unitaries)
         records = _dataset_records(arch, unitaries, dataset, embedded)

@@ -120,3 +120,71 @@ def random_architecture(rng: np.random.Generator, max_hidden: int = 3):
     widths.append(int(rng.integers(1, 4)))
     flags = tuple(bool(rng.integers(0, 2)) for _ in range(num_hidden))
     return Architecture(tuple(widths), flags)
+
+
+#: Eigenvalues above this (slightly negative) floor count as positive.
+PSD_TOL = -1e-9
+
+
+def assert_valid_state(state) -> None:
+    """Raise if an ``OperatorState`` is not positive semidefinite up to ``PSD_TOL``.
+
+    Hermiticity is already enforced at construction; this adds the eigenvalue
+    floor check.
+    """
+    eigs = np.linalg.eigvalsh(state.matrix)
+    if eigs.min() < PSD_TOL:
+        raise ValueError(f"state has eigenvalue {eigs.min():.3e} below {PSD_TOL:.0e}")
+
+
+def hs_distance(a, b) -> float:
+    """Hilbert-Schmidt distance trace((a - b)^2) of two ``OperatorState``s."""
+    diff = a.matrix - b.matrix
+    return float(np.trace(diff @ diff).real)
+
+
+def cost_graph_pairs(outputs, adjacency, residual_count: int) -> float:
+    """Graph cost by a double loop over ordered vertex pairs, self-loops skipped."""
+    total = 0.0
+    for v in range(len(outputs)):
+        for w in range(len(outputs)):
+            if adjacency[v][w] != 0.0 and v != w:
+                total += adjacency[v][w] * hs_distance(outputs[v], outputs[w])
+    return total / 2.0**residual_count
+
+
+def graph_generators_per_edge(arch, embedded, records, adjacency):
+    """Graph generators from one backward pass per edge of the upper triangle.
+
+    Edge ``(v, w)`` runs the forward operators on the input differences
+    ``in_v - in_w`` of every layer against the seed ``rho_v - rho_w``, with
+    weight ``adjacency[v][w]`` and layer scale ``2**(m_{l-1} + 1)`` (eta 1).
+    Production sums the same terms as one Laplacian-seeded pass per vertex.
+    """
+    from resqnn.trainer import UpdateGenerators, _corner_block, _layer_pass
+
+    acc = [
+        [np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=complex)
+         for _ in range(arch.width_out(l))]
+        for l in range(arch.num_unitary_layers)
+    ]
+    n = len(records)
+    for v in range(n):
+        for w in range(v + 1, n):
+            weight = float(adjacency[v][w])
+            if weight == 0.0:
+                continue
+            back = records[v].final.matrix - records[w].final.matrix
+            for l in range(arch.num_unitary_layers - 1, -1, -1):
+                fwd_in = records[v].layer_inputs[l].matrix - records[w].layer_inputs[l].matrix
+                contribs, pulled = _layer_pass(arch, l, embedded[l], fwd_in, back)
+                for p, c in enumerate(contribs):
+                    acc[l][p] += weight * c
+                if arch.is_residual(l):
+                    pulled = pulled + _corner_block(back, arch.width_in(l), arch.delta_m(l))
+                back = pulled
+    layers = tuple(
+        tuple(2.0 ** (arch.width_in(l) + 1) * k for k in layer)
+        for l, layer in enumerate(acc)
+    )
+    return UpdateGenerators(arch, layers)

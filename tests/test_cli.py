@@ -117,6 +117,19 @@ class TestTrain:
         captured = capsys.readouterr()
         assert "qubits" in captured.err
 
+    def test_malformed_dataset_exits_nonzero_with_message(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        assert _run("gen-data", "--out", data_dir, "--seed", 1, "--vertices", 4,
+                    "--supervised", 2) == 0
+        path = data_dir / "dataset.json"
+        payload = json.loads(path.read_text())
+        for field, value in (("states", 5), ("input_qubits", [2]), ("spec", "line")):
+            bad = dict(payload, **{field: value})
+            path.write_text(json.dumps(bad))
+            code = _run("train", "--out", tmp_path / "r", "--dataset", path, "--epochs", 1)
+            assert code == 2, field
+            assert "malformed dataset" in capsys.readouterr().err, field
+
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"epochs": 6, "gamma": -0.25, "num_vertices": 4,

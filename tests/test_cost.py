@@ -106,6 +106,21 @@ class TestGraph:
         outputs = [random_pure_state(1, rng).density() for _ in range(3)]
         assert cost_graph(outputs, np.zeros((3, 3)), 0) == 0.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pair_loop_oracle(self, seed):
+        # Random weights on a random edge set plus self-loops, which both
+        # versions ignore; outputs carry a shortcut trace 2**t.
+        rng = np.random.default_rng(seed)
+        n, q, t = 6, int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        outputs = [
+            OperatorState(2.0**t * oracles.random_density(q, rng), q) for _ in range(n)
+        ]
+        upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+        adjacency = upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n))
+        want = oracles.cost_graph_pairs(outputs, adjacency, t)
+        assert want > 0.0
+        assert abs(cost_graph(outputs, adjacency, t) - want) <= 1e-12 * want
+
     def test_rejects_bad_adjacency(self):
         rng = np.random.default_rng(6)
         outputs = [random_pure_state(1, rng).density() for _ in range(2)]
@@ -113,6 +128,8 @@ class TestGraph:
             cost_graph(outputs, np.zeros((3, 3)), 0)
         with pytest.raises(ValueError):
             cost_graph(outputs, np.array([[0, 1], [0, 0]], dtype=float), 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            cost_graph(outputs, np.array([[0, np.nan], [np.nan, 0]]), 0)
 
 
 class TestFullAndTest:

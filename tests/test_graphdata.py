@@ -17,7 +17,8 @@ from resqnn.graphdata import (
     load_dataset,
     save_dataset,
 )
-from resqnn.qlinalg import hs_distance
+
+from oracles import hs_distance
 
 
 class TestSpecs:

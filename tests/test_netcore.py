@@ -26,7 +26,6 @@ from resqnn.qlinalg import (
     DimensionError,
     OperatorState,
     PureState,
-    assert_valid_state,
     random_pure_state,
     tensor_product,
 )
@@ -188,7 +187,7 @@ class TestLayerForward:
         rho = OperatorState(oracles.random_density(2, rng), 2)
         out = single_layer_output(unis.layers[0], 2, 3, rho)
         assert out.trace() == pytest.approx(1.0, abs=1e-12)
-        assert_valid_state(out)
+        oracles.assert_valid_state(out)
 
 
 class TestResidualAdd:
@@ -200,7 +199,7 @@ class TestResidualAdd:
         assert combined.trace() == pytest.approx(2.0, abs=1e-12)
         expected = rho_out.matrix + np.kron(rho_in.matrix, [[1, 0], [0, 0]])
         np.testing.assert_allclose(combined.matrix, expected, atol=1e-12)
-        assert_valid_state(combined)
+        oracles.assert_valid_state(combined)
 
     def test_zero_padding_doubles_equal_states(self):
         rng = np.random.default_rng(6)
@@ -241,7 +240,7 @@ class TestForward:
         record = forward(arch, unis, rho)
         assert record.final.trace() == pytest.approx(2.0**arch.residual_count, abs=1e-9)
         for state in (*record.layer_inputs, *record.layer_outputs):
-            assert_valid_state(state)
+            oracles.assert_valid_state(state)
 
     def test_record_sequencing_and_shortcut_wiring(self):
         arch = arch_from_string("1,~2,1")

