@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -201,26 +202,35 @@ class GraphDataset:
         object.__setattr__(self, "target_unitary", v)
         object.__setattr__(self, "inputs", tuple(self.inputs))
 
+    @cached_property
+    def _input_densities(self) -> tuple[OperatorState, ...]:
+        return tuple(psi.density() for psi in self.inputs)
+
     def input_density(self, vertex: int) -> OperatorState:
         """Density matrix of one vertex's input state."""
-        return self.inputs[vertex].density()
+        return self._input_densities[vertex]
 
     def target_for(self, vertex: int) -> PureState:
         """Hidden label: the target unitary applied to the vertex's input."""
         psi = self.inputs[vertex]
         return PureState(self.target_unitary @ psi.amplitudes, psi.num_qubits)
 
-    @property
+    # The dataset is frozen, so the states and matrices training reads every
+    # epoch are built once, on first use.
+    @cached_property
     def supervised_targets(self) -> tuple[PureState, ...]:
         return tuple(self.target_for(v) for v in self.spec.supervised_indices)
 
-    @property
+    @cached_property
     def test_targets(self) -> tuple[PureState, ...]:
         return tuple(self.target_for(v) for v in self.spec.test_indices)
 
-    @property
+    @cached_property
     def adjacency(self) -> np.ndarray:
-        return adjacency_matrix(self.spec)
+        """Read-only weighted adjacency matrix of the graph."""
+        adj = adjacency_matrix(self.spec)
+        adj.setflags(write=False)
+        return adj
 
 
 def _interpolated_line_states(

@@ -272,14 +272,25 @@ def embed_network(arch: Architecture, unitaries: LayerUnitaries) -> list[list[np
     return embedded
 
 
+def _ground_columns(u: np.ndarray, width_in: int, width_out: int) -> np.ndarray:
+    """Columns of a layer operator whose output qubits are all |0>.
+
+    ``u (rho (x) |0..0><0..0|) u^dagger`` equals ``c rho c^dagger`` for these
+    columns ``c``, and ``<0..0| u^dagger B u |0..0>`` equals ``c^dagger B c``.
+    """
+    return u.reshape(u.shape[0], 2**width_in, 2**width_out)[:, :, 0]
+
+
 def _apply_layer(
     rho_matrix: np.ndarray, width_in: int, width_out: int, embedded_layer: Sequence[np.ndarray]
 ) -> np.ndarray:
     space = width_in + width_out
-    big = tensor_product(rho_matrix, ground_state_projector(width_out))
-    for u in embedded_layer:
-        big = u @ big @ u.conj().T
-    return ptrace_qubits(big, space, range(width_in, space))
+    first = _ground_columns(embedded_layer[0], width_in, width_out)
+    # The layer output is tr_in(left @ right); the last product is never formed.
+    left, right = first @ rho_matrix, first.conj().T
+    for u in embedded_layer[1:]:
+        left, right = u @ (left @ right), u.conj().T
+    return ptrace_qubits(left, space, range(width_in, space), right=right)
 
 
 def residual_add(rho_out: OperatorState, rho_in: OperatorState, delta_m: int) -> OperatorState:

@@ -148,9 +148,15 @@ class PureState:
         return OperatorState(np.outer(self.amplitudes, self.amplitudes.conj()), self.num_qubits)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product (same entries)."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def tensor_product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Kronecker product of two or more operators, left factor most significant."""
-    return reduce(np.kron, rest, np.asarray(first, dtype=np.complex128))
+    return reduce(_kron, rest, np.asarray(first, dtype=np.complex128))
 
 
 def ground_state_projector(num_qubits: int) -> np.ndarray:
@@ -161,7 +167,12 @@ def ground_state_projector(num_qubits: int) -> np.ndarray:
     return proj
 
 
-def ptrace_qubits(matrix: np.ndarray, num_qubits: int, keep: Iterable[int]) -> np.ndarray:
+def ptrace_qubits(
+    matrix: np.ndarray,
+    num_qubits: int,
+    keep: Iterable[int],
+    right: np.ndarray | None = None,
+) -> np.ndarray:
     """Partial trace keeping the listed qubits, in their original order.
 
     Works on any square matrix (no Hermiticity assumed), which is what the
@@ -170,30 +181,54 @@ def ptrace_qubits(matrix: np.ndarray, num_qubits: int, keep: Iterable[int]) -> n
     Parameters
     ----------
     matrix:
-        ``(2**num_qubits, 2**num_qubits)`` array.
+        ``(2**num_qubits, 2**num_qubits)`` array, or ``(2**num_qubits, inner)``
+        when ``right`` is given.
     num_qubits:
         Total qubit count of ``matrix``.
     keep:
         Qubit indices (big-endian, 0-based) to keep; all others are traced out.
+    right:
+        Optional ``(inner, 2**num_qubits)`` factor: the result is then the
+        partial trace of ``matrix @ right``, summed over the inner index and
+        the dropped qubits in one matrix product without forming the full
+        product (``dim * inner * 2**len(keep)`` operations, not ``dim**2 * inner``).
     """
-    arr = _as_square_complex(matrix)
-    if arr.shape[0] != 2**num_qubits:
-        raise DimensionError(
-            f"matrix dimension {arr.shape[0]} does not match {num_qubits} qubits"
-        )
+    dim = 2**num_qubits
+    if right is None:
+        arr = _as_square_complex(matrix)
+        if arr.shape[0] != dim:
+            raise DimensionError(
+                f"matrix dimension {arr.shape[0]} does not match {num_qubits} qubits"
+            )
+    else:
+        arr = np.asarray(matrix)
+        if arr.ndim != 2 or arr.shape[0] != dim or right.shape != (arr.shape[1], dim):
+            raise DimensionError(
+                f"factors of shape {arr.shape} and {right.shape} do not match "
+                f"{num_qubits} qubits"
+            )
     keep_list = sorted(set(int(q) for q in keep))
     if keep_list and (keep_list[0] < 0 or keep_list[-1] >= num_qubits):
         raise DimensionError(f"keep qubits {keep_list} out of range for {num_qubits} qubits")
     drop = [q for q in range(num_qubits) if q not in keep_list]
+    dim_keep = 2 ** len(keep_list)
+    if right is not None:
+        # matrix[(k, d), c] and right[c, (k', d)], reordered to put (d, c) inside.
+        rows = arr.reshape([2] * num_qubits + [-1]).transpose(keep_list + drop + [num_qubits])
+        cols = right.reshape([-1] + [2] * num_qubits).transpose(
+            [1 + q for q in drop] + [0] + [1 + q for q in keep_list]
+        )
+        return rows.reshape(dim_keep, -1) @ cols.reshape(-1, dim_keep)
     if not drop:
         return arr.copy()
-    tensor = arr.reshape([2] * (2 * num_qubits))
-    remaining = num_qubits
-    # Trace the highest dropped axis first so lower axis indices stay valid.
-    for q in reversed(drop):
-        tensor = np.trace(tensor, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    dim_keep = 2 ** len(keep_list)
+    # Row qubit q is axis q and column qubit q axis num_qubits + q; a dropped
+    # qubit's column axis shares its row label, so einsum sums the diagonal.
+    cols = [q if q in drop else num_qubits + q for q in range(num_qubits)]
+    tensor = np.einsum(
+        arr.reshape([2] * (2 * num_qubits)),
+        list(range(num_qubits)) + cols,
+        keep_list + [num_qubits + q for q in keep_list],
+    )
     return tensor.reshape(dim_keep, dim_keep)
 
 

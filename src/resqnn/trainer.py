@@ -75,6 +75,7 @@ from .netcore import (
     ForwardRecord,
     LayerUnitaries,
     _frozen_layers,
+    _ground_columns,
     embed_network,
     forward,
     init_unitaries,
@@ -87,7 +88,6 @@ from .qlinalg import (
     _pauli_stack,
     embed_operator,
     exp_i_hermitian,
-    ground_state_projector,
     ptrace_qubits,
     tensor_product,
 )
@@ -197,30 +197,34 @@ def _layer_pass(
     """
     width_in, width_out = arch.width_in(layer), arch.width_out(layer)
     space = width_in + width_out
-    dim_in = 2**width_in
 
-    backs = [None] * width_out
-    back = tensor_product(np.eye(dim_in, dtype=np.complex128), back_matrix)
-    backs[width_out - 1] = back
-    for p in range(width_out - 2, -1, -1):
-        u = embedded_layer[p + 1]
-        back = u.conj().T @ back @ u
-        backs[p] = back
+    def keep(p: int) -> list[int]:
+        return list(range(width_in)) + [width_in + p]
 
-    contribs = []
-    fwd = tensor_product(rho_in_matrix, ground_state_projector(width_out))
-    for p in range(width_out):
+    # Backward: back_{p-1} = u_p^dagger back_p u_p, keeping ys[p] = u_p^dagger back_p.
+    back = tensor_product(np.eye(2**width_in, dtype=np.complex128), back_matrix)
+    ys = [None] * width_out
+    for p in range(width_out - 1, 0, -1):
         u = embedded_layer[p]
-        fwd = u @ fwd @ u.conj().T
-        comm = fwd @ backs[p] - backs[p] @ fwd
-        keep = list(range(width_in)) + [width_in + p]
-        contribs.append(1j * ptrace_qubits(comm, space, keep))
+        ys[p] = u.conj().T @ back
+        back = ys[p] @ u
 
-    u0 = embedded_layer[0]
-    sandwich = u0.conj().T @ backs[0] @ u0
-    dim_out = 2**width_out
-    view = sandwich.reshape(dim_in, dim_out, dim_in, dim_out)
-    return contribs, np.ascontiguousarray(view[:, 0, :, 0])
+    # Forward: fwd_p = left_p @ dagger_p with left_0 = first rho, dagger_0 =
+    # first^dagger (``first``: the ground columns of u_0) and left_p = u_p fwd_{p-1},
+    # dagger_p = u_p^dagger. Then tr_rest(fwd_p back_p) = tr_rest(left_p ys[p]),
+    # so the last fwd_p is never formed.
+    first = _ground_columns(embedded_layer[0], width_in, width_out)
+    first_back = first.conj().T @ back
+    left, dagger = first @ rho_in_matrix, first.conj().T
+    halves = [ptrace_qubits(left, space, keep(0), right=first_back)]
+    for p in range(1, width_out):
+        u = embedded_layer[p]
+        left, dagger = u @ (left @ dagger), u.conj().T
+        halves.append(ptrace_qubits(left, space, keep(p), right=ys[p]))
+    # Both operators are Hermitian, so [fwd, back] = X - X^dagger with
+    # X = fwd @ back, and the partial trace commutes with the dagger.
+    contribs = [1j * (half - half.conj().T) for half in halves]
+    return contribs, first_back @ first
 
 
 def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.ndarray:

@@ -128,6 +128,24 @@ class TestTensorAndTrace:
         expected = oracles.ptrace_bruteforce(mat, n, keep)
         np.testing.assert_allclose(ptrace_qubits(mat, n, keep), expected, atol=1e-12)
 
+    @given(seed=seeds, n=st.integers(1, 4), inner=st.integers(1, 16))
+    @settings(max_examples=30, deadline=None)
+    def test_ptrace_of_factors_matches_bruteforce_of_product(self, seed, n, inner):
+        rng = rng_from(seed)
+        left = rng.standard_normal((2**n, inner)) + 1j * rng.standard_normal((2**n, inner))
+        right = rng.standard_normal((inner, 2**n)) + 1j * rng.standard_normal((inner, 2**n))
+        keep = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
+        expected = oracles.ptrace_bruteforce(left @ right, n, keep)
+        np.testing.assert_allclose(ptrace_qubits(left, n, keep, right=right), expected, atol=1e-12)
+
+    def test_ptrace_of_factors_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            ptrace_qubits(np.eye(4), 2, [0], right=np.eye(2))
+        with pytest.raises(DimensionError):
+            ptrace_qubits(np.eye(4), 3, [0], right=np.eye(4))
+        with pytest.raises(DimensionError):
+            ptrace_qubits(np.eye(4), 2, [2], right=np.eye(4))
+
     @given(seed=seeds, n=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_ptrace_preserves_trace_and_state_validity(self, seed, n):
