@@ -31,13 +31,14 @@ from .graphdata import (
     TOPOLOGIES,
     GraphDataset,
     build_graph_spec,
+    check_graph_size,
     generate_dataset,
     load_dataset,
     save_dataset,
 )
 from .netcore import arch_from_string, arch_to_string, save_checkpoint
 from .svgplot import LINE_STYLES, Series, render_line_plot
-from .trainer import K_MODES, TrainingConfig, TrainingTrace, train
+from .trainer import TrainingConfig, TrainingTrace, train
 
 __all__ = [
     "OUTPUT_ENV_VAR",
@@ -66,11 +67,9 @@ class ExperimentConfig:
     num_supervised: int = 3
     gamma: float = 0.0
     epsilon: float = 0.01
-    eta: float = 1.0
     epochs: int = 250
     seeds: tuple[int, ...] = (0,)
     delta: float = 0.3
-    k_mode: str = "hybrid"
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -87,18 +86,18 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", seeds)
         # Remaining numeric fields are validated where they are consumed
         # (TrainingConfig, build_graph_spec, generate_dataset); validate the
-        # blend weight here because gen-data never reaches TrainingConfig.
+        # blend weight here because gen-data never reaches TrainingConfig, and
+        # the graph size so that an oversized graph writes no output directory.
         if self.gamma > 0:
             raise ValueError(f"gamma must be non-positive, got {self.gamma}")
+        check_graph_size(self.topology, self.num_vertices)
 
     def training_config(self, seed: int) -> TrainingConfig:
         return TrainingConfig(
             epochs=self.epochs,
             seed=seed,
-            eta=self.eta,
             epsilon=self.epsilon,
             gamma=self.gamma,
-            k_mode=self.k_mode,
         )
 
     def as_dict(self) -> dict:
@@ -107,21 +106,8 @@ class ExperimentConfig:
         return payload
 
 
+#: Each config flag stores into the attribute named after its field.
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
-
-_FLAG_TO_FIELD = {
-    "arch": "arch",
-    "topology": "topology",
-    "vertices": "num_vertices",
-    "supervised": "num_supervised",
-    "gamma": "gamma",
-    "epsilon": "epsilon",
-    "eta": "eta",
-    "epochs": "epochs",
-    "delta": "delta",
-    "k_mode": "k_mode",
-    "out": "out_dir",
-}
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -136,13 +122,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)} in {config_path}")
         values.update(payload)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        flag_value = getattr(args, flag, None)
+    for name in _CONFIG_FIELDS:
+        flag_value = getattr(args, name, None)
         if flag_value is not None:
-            values[field_name] = flag_value
-    if getattr(args, "seeds", None):
-        values["seeds"] = tuple(args.seeds)
-    elif getattr(args, "seed", None) is not None:
+            values[name] = flag_value
+    if getattr(args, "seeds", None) is None and args.seed is not None:
         values["seeds"] = (args.seed,)
     if values.get("out_dir") is None:
         values["out_dir"] = os.environ.get(OUTPUT_ENV_VAR, ".")
@@ -392,16 +376,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file of config fields; flags override it")
     parser.add_argument("--arch", help="layer widths, '~' marks a shortcut hidden layer")
     parser.add_argument("--topology", choices=_TOPOLOGIES)
-    parser.add_argument("--vertices", type=int, help="number of graph vertices")
-    parser.add_argument("--supervised", type=int, help="number of supervised vertices")
+    parser.add_argument("--vertices", dest="num_vertices", type=int,
+                        help="number of graph vertices")
+    parser.add_argument("--supervised", dest="num_supervised", type=int,
+                        help="number of supervised vertices")
     parser.add_argument("--gamma", type=float, help="non-positive graph-cost weight")
     parser.add_argument("--epsilon", type=float, help="update step size")
-    parser.add_argument("--eta", type=float, help="generator learning rate")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--delta", type=float, help="dataset closeness scale")
-    parser.add_argument("--k-mode", dest="k_mode", choices=K_MODES)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help=f"output directory (default ${OUTPUT_ENV_VAR} or '.')")
+    parser.add_argument("--out", dest="out_dir",
+                        help=f"output directory (default ${OUTPUT_ENV_VAR} or '.')")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .qlinalg import (
+    MAX_DENSE_BYTES,
     DimensionError,
     OperatorState,
     PureState,
@@ -47,6 +48,7 @@ __all__ = [
     "GraphDataset",
     "adjacency_matrix",
     "build_graph_spec",
+    "check_graph_size",
     "default_supervised_indices",
     "generate_dataset",
     "load_dataset",
@@ -57,6 +59,9 @@ TOPOLOGIES = ("line", "connected_clusters", "custom")
 
 #: Default noise scale for cluster datasets.
 DEFAULT_DELTA = 0.3
+#: Bytes one edge holds while a graph is built: its tuple plus GraphSpec's
+#: validation entries (``tracemalloc``: 173-180 at 400-1,000 cluster vertices).
+EDGE_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,27 @@ def _cluster_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+def check_graph_size(topology: str, num_vertices: int, num_edges: int | None = None) -> None:
+    """Reject a graph whose edge list and adjacency matrix would exceed ``MAX_DENSE_BYTES``.
+
+    ``num_edges`` defaults to the closed-form edge count of the ``line`` or
+    ``connected_clusters`` topology, so nothing is built to take the estimate.
+    """
+    if num_edges is None:
+        cliques = sum(size * (size - 1) // 2 for size in _cluster_sizes(num_vertices))
+        num_edges = num_vertices - 1 if topology == "line" else cliques + 1
+    try:
+        estimate = EDGE_BYTES * num_edges + 8.0 * num_vertices**2
+    except OverflowError:
+        estimate = float("inf")
+    if estimate > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a {topology} graph on {num_vertices:,} vertices ({num_edges:,} edges) needs "
+            f"{estimate / 2**30:,.1f} GiB for its edge list and adjacency matrix, more "
+            f"than the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
+        )
+
+
 def build_graph_spec(
     topology: str,
     num_vertices: int,
@@ -140,19 +166,24 @@ def build_graph_spec(
     supervised_indices: Sequence[int] | None = None,
     edges: Sequence[tuple[int, int]] | None = None,
 ) -> GraphSpec:
-    """Assemble a :class:`GraphSpec` for a built-in or custom topology."""
+    """Assemble a :class:`GraphSpec` for a built-in or custom topology.
+
+    Graphs over the memory budget are rejected before any edge is built.
+    """
+    if topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}, expected one of {TOPOLOGIES}")
+    if topology == "custom":
+        if edges is None:
+            raise ValueError("custom topology needs an explicit edge list")
+    elif edges is not None:
+        raise ValueError(f"{topology} topology builds its own edges")
+    check_graph_size(topology, num_vertices, None if edges is None else len(edges))
     if topology == "line":
         built = _line_edges(num_vertices)
     elif topology == "connected_clusters":
         built = _cluster_edges(num_vertices)
-    elif topology == "custom":
-        if edges is None:
-            raise ValueError("custom topology needs an explicit edge list")
-        built = tuple(tuple(e) for e in edges)
     else:
-        raise ValueError(f"unknown topology {topology!r}, expected one of {TOPOLOGIES}")
-    if topology != "custom" and edges is not None:
-        raise ValueError(f"{topology} topology builds its own edges")
+        built = tuple(tuple(e) for e in edges)
     if supervised_indices is None:
         supervised = default_supervised_indices(num_vertices, num_supervised)
     else:
@@ -306,10 +337,11 @@ def save_dataset(path: str | Path, dataset: GraphDataset) -> None:
 
 
 def load_dataset(path: str | Path) -> GraphDataset:
-    """Inverse of :func:`save_dataset`; re-validates norms and unitarity."""
+    """Inverse of :func:`save_dataset`; re-validates size, norms and unitarity."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         raw_spec = payload["spec"]
+        check_graph_size(raw_spec["topology"], raw_spec["num_vertices"], len(raw_spec["edges"]))
         spec = GraphSpec(
             raw_spec["topology"],
             raw_spec["num_vertices"],

@@ -20,20 +20,19 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .qlinalg import (
+    MAX_DENSE_BYTES,
     DimensionError,
     OperatorState,
     _complex_to_pairs,
     _pairs_to_complex,
     embed_operator,
-    ground_state_projector,
     haar_random_unitary,
     ptrace_qubits,
-    tensor_product,
 )
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
 UNITARY_TOL = 1e-9
 #: Input density matrices must have unit trace within this tolerance.
 INPUT_TRACE_TOL = 1e-8
-#: Architectures whose dense matrices would exceed this many bytes are rejected.
-MAX_DENSE_BYTES = 2**30
 
 
 class ArchitectureError(ValueError):
@@ -281,20 +278,42 @@ def _ground_columns(u: np.ndarray, width_in: int, width_out: int) -> np.ndarray:
     return u.reshape(u.shape[0], 2**width_in, 2**width_out)[:, :, 0]
 
 
+def _layer_chain(
+    rho_matrix: np.ndarray, width_in: int, width_out: int, embedded_layer: Sequence[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(left, right)`` whose product is the state after each perceptron in turn.
+
+    The first adjoins the ancillas through its ground columns ``c`` (``c rho``,
+    ``c^dagger``); each later ``u`` gives ``u (left @ right)``, ``u^dagger``.
+    """
+    first = _ground_columns(embedded_layer[0], width_in, width_out)
+    left, right = first @ rho_matrix, first.conj().T
+    yield left, right
+    for u in embedded_layer[1:]:
+        left, right = u @ (left @ right), u.conj().T
+        yield left, right
+
+
 def _apply_layer(
     rho_matrix: np.ndarray, width_in: int, width_out: int, embedded_layer: Sequence[np.ndarray]
 ) -> np.ndarray:
     space = width_in + width_out
-    first = _ground_columns(embedded_layer[0], width_in, width_out)
-    # The layer output is tr_in(left @ right); the last product is never formed.
-    left, right = first @ rho_matrix, first.conj().T
-    for u in embedded_layer[1:]:
-        left, right = u @ (left @ right), u.conj().T
+    for left, right in _layer_chain(rho_matrix, width_in, width_out, embedded_layer):
+        pass  # the layer output is the partial trace of the last pair
     return ptrace_qubits(left, space, range(width_in, space), right=right)
 
 
+def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.ndarray:
+    """View of the block ``<0...0| matrix |0...0>`` on the last ``pad_qubits`` qubits."""
+    dim_keep, dim_pad = 2**keep_qubits, 2**pad_qubits
+    return matrix.reshape(dim_keep, dim_pad, dim_keep, dim_pad)[:, 0, :, 0]
+
+
 def residual_add(rho_out: OperatorState, rho_in: OperatorState, delta_m: int) -> OperatorState:
-    """Shortcut addition: ``rho_out + rho_in (x) |0...0><0...0|`` on ``delta_m`` qubits."""
+    """Shortcut addition: ``rho_out + rho_in (x) |0...0><0...0|`` on ``delta_m`` qubits.
+
+    ``rho_in`` lands in the ``|0...0>`` corner block of a copy of ``rho_out``.
+    """
     if delta_m < 0:
         raise DimensionError(f"shortcut padding must be non-negative, got {delta_m}")
     if rho_in.num_qubits + delta_m != rho_out.num_qubits:
@@ -302,11 +321,9 @@ def residual_add(rho_out: OperatorState, rho_in: OperatorState, delta_m: int) ->
             f"cannot add a {rho_in.num_qubits}-qubit input padded by {delta_m} "
             f"to a {rho_out.num_qubits}-qubit output"
         )
-    if delta_m == 0:
-        padded = rho_in.matrix
-    else:
-        padded = tensor_product(rho_in.matrix, ground_state_projector(delta_m))
-    return OperatorState(rho_out.matrix + padded, rho_out.num_qubits)
+    total = np.array(rho_out.matrix)
+    _corner_block(total, rho_in.num_qubits, delta_m)[...] += rho_in.matrix
+    return OperatorState(total, rho_out.num_qubits)
 
 
 @dataclass(frozen=True)

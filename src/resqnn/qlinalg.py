@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_TOL",
+    "MAX_DENSE_BYTES",
     "NORM_TOL",
     "DimensionError",
     "NonHermitianError",
@@ -35,7 +36,6 @@ __all__ = [
     "embed_operator",
     "exp_i_hermitian",
     "fidelity_pure",
-    "ground_state_projector",
     "haar_random_unitary",
     "pauli_coefficients",
     "ptrace_qubits",
@@ -47,6 +47,10 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 #: Absolute tolerance for pure-state normalization.
 NORM_TOL = 1e-12
+#: Budget for the largest objects resqnn builds up front: the dense matrices
+#: of an architecture, and a graph's edge list plus adjacency matrix. Inputs
+#: needing more are rejected before anything is allocated.
+MAX_DENSE_BYTES = 2**30
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -157,14 +161,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor_product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Kronecker product of two or more operators, left factor most significant."""
     return reduce(_kron, rest, np.asarray(first, dtype=np.complex128))
-
-
-def ground_state_projector(num_qubits: int) -> np.ndarray:
-    """Projector |0...0><0...0| on ``num_qubits`` qubits (1x1 one for zero)."""
-    dim = 2**num_qubits
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    proj[0, 0] = 1.0
-    return proj
 
 
 def ptrace_qubits(

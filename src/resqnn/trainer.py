@@ -2,7 +2,9 @@
 
 Training maximizes ``c_sv + gamma * c_g`` by rotating every perceptron once
 per epoch: ``U <- exp(i * epsilon * K) @ U`` with a Hermitian generator ``K``
-computed synchronously from the epoch-start unitaries.
+computed synchronously from the epoch-start unitaries. ``K`` is linear in
+the learning rate ``eta``, so only ``epsilon * eta`` reaches the unitaries;
+training takes ``eta = 1`` and the step size alone sets the rate.
 
 Analytic generators
 -------------------
@@ -36,20 +38,20 @@ seed), so summing the pairs leaves vertex ``v`` the seed
 2 because its prefactor is twice the supervised one. Vertices whose seed is
 exactly zero (unsupervised ones at gamma 0) run no pass.
 
-Finite-difference generators
-----------------------------
-``k_numeric_oracle`` rebuilds the same K from central differences of the
-costs under ``U -> exp(i * theta * P) @ U`` for every Pauli direction ``P``.
-Pauli completeness (``H = sum_P tr(H P) P / 2**n``) fixes the assembly
-constants exactly: with ``t`` flagged layers,
+Finite-difference oracle
+------------------------
+``k_numeric_oracle`` rebuilds the same K from one objective, the blended cost
 
-* supervised: ``K = eta * 2**(t-1) * sum_P (dC_sv/dtheta_P) P``,
-* graph:      ``K = eta * 2**(t-2) * sum_P (dC_g/dtheta_P) P``.
+    C = c_sv + gamma * GRAPH_GRADIENT_SCALE * c_g,
 
-The extra factor ``GRAPH_GRADIENT_SCALE = 0.5`` between the two reflects that
-the graph *cost* sums ordered pairs (each edge twice) while the graph
-*generator* sums each edge once; it was calibrated once against the oracle
-and is asserted stable by the test suite.
+differentiated by central differences under ``U -> exp(i * theta * P) @ U``
+for every Pauli direction ``P`` of each perceptron. Pauli completeness
+(``H = sum_P tr(H P) P / 2**n``) fixes the assembly constant exactly: with
+``t`` flagged layers, ``K = eta * 2**(t-1) * sum_P (dC/dtheta_P) P``.
+``GRAPH_GRADIENT_SCALE = 0.5`` reflects that the graph *cost* sums ordered
+pairs (each edge twice) while the graph *generator* sums each edge once; it
+was calibrated once against the oracle and is asserted stable by the test
+suite. At ``gamma = 0`` only the supervised vertices are re-run.
 """
 
 from __future__ import annotations
@@ -74,8 +76,11 @@ from .netcore import (
     ArchitectureError,
     ForwardRecord,
     LayerUnitaries,
+    _corner_block,
     _frozen_layers,
     _ground_columns,
+    _layer_chain,
+    _perceptron_targets,
     embed_network,
     forward,
     init_unitaries,
@@ -83,7 +88,6 @@ from .netcore import (
 from .qlinalg import (
     HERMITIAN_TOL,
     DimensionError,
-    OperatorState,
     PureState,
     _pauli_stack,
     embed_operator,
@@ -94,20 +98,16 @@ from .qlinalg import (
 
 __all__ = [
     "GRAPH_GRADIENT_SCALE",
-    "K_MODES",
     "TrainingConfig",
     "TrainingTrace",
     "UpdateGenerators",
     "graph_generators",
     "k_full",
     "k_numeric_oracle",
-    "numeric_cost_gradients",
     "supervised_generators",
     "train",
     "update_step",
 ]
-
-K_MODES = ("numeric", "hybrid")
 
 #: Ratio between the graph generator's normalization and the gradient of the
 #: ordered-pair graph cost; see the module docstring.
@@ -142,22 +142,16 @@ class TrainingConfig:
 
     epochs: int
     seed: int = 0
-    eta: float = 1.0
     epsilon: float = 0.01
     gamma: float = 0.0
-    k_mode: str = "hybrid"
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.gamma > 0:
             raise ValueError(f"gamma must be non-positive, got {self.gamma}")
-        if self.k_mode not in K_MODES:
-            raise ValueError(f"k_mode must be one of {K_MODES}, got {self.k_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -198,42 +192,28 @@ def _layer_pass(
     width_in, width_out = arch.width_in(layer), arch.width_out(layer)
     space = width_in + width_out
 
-    def keep(p: int) -> list[int]:
-        return list(range(width_in)) + [width_in + p]
-
-    # Backward: back_{p-1} = u_p^dagger back_p u_p, keeping ys[p] = u_p^dagger back_p.
+    # Backward: back_{p-1} = u_p^dagger back_p u_p, keeping ys[p] = u_p^dagger back_p;
+    # for the first perceptron only its ground columns ``first`` act.
     back = tensor_product(np.eye(2**width_in, dtype=np.complex128), back_matrix)
     ys = [None] * width_out
     for p in range(width_out - 1, 0, -1):
         u = embedded_layer[p]
         ys[p] = u.conj().T @ back
         back = ys[p] @ u
-
-    # Forward: fwd_p = left_p @ dagger_p with left_0 = first rho, dagger_0 =
-    # first^dagger (``first``: the ground columns of u_0) and left_p = u_p fwd_{p-1},
-    # dagger_p = u_p^dagger. Then tr_rest(fwd_p back_p) = tr_rest(left_p ys[p]),
-    # so the last fwd_p is never formed.
     first = _ground_columns(embedded_layer[0], width_in, width_out)
-    first_back = first.conj().T @ back
-    left, dagger = first @ rho_in_matrix, first.conj().T
-    halves = [ptrace_qubits(left, space, keep(0), right=first_back)]
-    for p in range(1, width_out):
-        u = embedded_layer[p]
-        left, dagger = u @ (left @ dagger), u.conj().T
-        halves.append(ptrace_qubits(left, space, keep(p), right=ys[p]))
+    ys[0] = first.conj().T @ back
+
+    # Forward: the state after perceptron p is left_p @ right_p, and
+    # right_p @ back_p = ys[p], so tr_rest(fwd_p back_p) = tr_rest(left_p ys[p]).
+    chain = _layer_chain(rho_in_matrix, width_in, width_out, embedded_layer)
+    halves = [
+        ptrace_qubits(left, space, _perceptron_targets(width_in, p), right=ys[p])
+        for p, (left, _) in enumerate(chain)
+    ]
     # Both operators are Hermitian, so [fwd, back] = X - X^dagger with
     # X = fwd @ back, and the partial trace commutes with the dagger.
     contribs = [1j * (half - half.conj().T) for half in halves]
-    return contribs, first_back @ first
-
-
-def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.ndarray:
-    """Block <0...0| matrix |0...0> on the last ``pad_qubits`` qubits."""
-    if pad_qubits == 0:
-        return matrix
-    dim_keep, dim_pad = 2**keep_qubits, 2**pad_qubits
-    view = matrix.reshape(dim_keep, dim_pad, dim_keep, dim_pad)
-    return np.ascontiguousarray(view[:, 0, :, 0])
+    return contribs, ys[0] @ first
 
 
 def _vertex_seeds(
@@ -367,111 +347,12 @@ def _dataset_records(
     arch: Architecture,
     unitaries: LayerUnitaries,
     dataset: GraphDataset,
-    embedded: list[list[np.ndarray]] | None = None,
+    embedded: list[list[np.ndarray]],
 ) -> list[ForwardRecord]:
-    if embedded is None:
-        embedded = embed_network(arch, unitaries)
     return [
         forward(arch, unitaries, dataset.input_density(v), embedded=embedded)
         for v in range(dataset.spec.num_vertices)
     ]
-
-
-def _costs_from_layer(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    dataset: GraphDataset,
-    records: Sequence[ForwardRecord],
-    layer: int,
-    embedded: list[list[np.ndarray]],
-    include_graph: bool,
-) -> tuple[float, float]:
-    """(c_sv, c_g) after re-running layers ``layer..`` with modified unitaries."""
-    t = arch.residual_count
-    vertices = (
-        range(dataset.spec.num_vertices) if include_graph else dataset.spec.supervised_indices
-    )
-    finals: dict[int, OperatorState] = {
-        v: forward(
-            arch, unitaries, records[v].layer_inputs[layer], embedded=embedded, start_layer=layer
-        ).final
-        for v in vertices
-    }
-    c_sv = cost_supervised(
-        [finals[v] for v in dataset.spec.supervised_indices],
-        list(dataset.supervised_targets),
-        t,
-    )
-    c_g = (
-        cost_graph([finals[v] for v in range(dataset.spec.num_vertices)], dataset.adjacency, t)
-        if include_graph
-        else 0.0
-    )
-    return c_sv, c_g
-
-
-def numeric_cost_gradients(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    dataset: GraphDataset,
-    h: float = 1e-5,
-    include_graph: bool = True,
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """Central-difference cost gradients per perceptron and Pauli direction.
-
-    Returns two nested lists (supervised, graph), each holding one length-4**n
-    real coefficient vector per perceptron: the derivative of the cost when
-    that perceptron is premultiplied by ``exp(i * theta * P)``. The identity
-    direction is a global phase, hence exactly zero and skipped.
-    """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
-    embedded = embed_network(arch, unitaries)
-    records = _dataset_records(arch, unitaries, dataset, embedded)
-    grads_sv: list[list[np.ndarray]] = []
-    grads_g: list[list[np.ndarray]] = []
-    cos_h, sin_h = np.cos(h), np.sin(h)
-    for l in range(arch.num_unitary_layers):
-        space_paulis = _pauli_stack(arch.width_in(l) + 1)
-        layer_sv, layer_g = [], []
-        for p in range(arch.width_out(l)):
-            base_emb = embedded[l][p]
-            g_sv = np.zeros(len(space_paulis))
-            g_g = np.zeros(len(space_paulis))
-            targets = list(range(arch.width_in(l))) + [arch.width_in(l) + p]
-            for a in range(1, len(space_paulis)):
-                pauli_emb = embed_operator(
-                    space_paulis[a], targets, arch.width_in(l) + arch.width_out(l)
-                )
-                rotated = pauli_emb @ base_emb
-                plus = cos_h * base_emb + 1j * sin_h * rotated
-                minus = cos_h * base_emb - 1j * sin_h * rotated
-                patched = [list(layer) for layer in embedded]
-                patched[l][p] = plus
-                sv_p, g_p = _costs_from_layer(
-                    arch, unitaries, dataset, records, l, patched, include_graph
-                )
-                patched[l][p] = minus
-                sv_m, g_m = _costs_from_layer(
-                    arch, unitaries, dataset, records, l, patched, include_graph
-                )
-                g_sv[a] = (sv_p - sv_m) / (2 * h)
-                g_g[a] = (g_p - g_m) / (2 * h)
-            layer_sv.append(g_sv)
-            layer_g.append(g_g)
-        grads_sv.append(layer_sv)
-        grads_g.append(layer_g)
-    return grads_sv, grads_g
-
-
-def _assemble_from_coefficients(
-    arch: Architecture, coeffs: list[list[np.ndarray]]
-) -> list[list[np.ndarray]]:
-    out = []
-    for l, layer in enumerate(coeffs):
-        stack = _pauli_stack(arch.width_in(l) + 1)
-        out.append([np.tensordot(c, stack, axes=1) for c in layer])
-    return out
 
 
 def k_numeric_oracle(
@@ -484,25 +365,57 @@ def k_numeric_oracle(
 ) -> UpdateGenerators:
     """Finite-difference replacement for the analytic generators.
 
-    Assembles ``eta * (2**(t-1) * grad c_sv + gamma * 2**(t-2) * grad c_g)``
-    per perceptron in the Pauli basis; see the module docstring for why those
-    constants reproduce the analytic normalization exactly.
+    Takes one central difference of ``c_sv + gamma * GRAPH_GRADIENT_SCALE * c_g``
+    per Pauli direction ``P`` of each perceptron (premultiplied by
+    ``exp(+-i * h * P)``) and assembles ``eta * 2**(t-1) * sum_P (dC/dtheta_P) P``;
+    see the module docstring for why that constant reproduces the analytic
+    normalization exactly. The identity direction is a global phase, hence
+    exactly zero and skipped.
     """
     if gamma > 0:
         raise ValueError(f"gamma must be non-positive, got {gamma}")
-    include_graph = gamma != 0.0
-    grads_sv, grads_g = numeric_cost_gradients(arch, unitaries, dataset, h, include_graph)
+    if not 1e-7 <= h <= 1e-3:
+        raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
     t = arch.residual_count
-    sv_mats = _assemble_from_coefficients(arch, grads_sv)
-    g_mats = _assemble_from_coefficients(arch, grads_g) if include_graph else None
+    supervised = dataset.spec.supervised_indices
+    targets = list(dataset.supervised_targets)
+    all_vertices = range(dataset.spec.num_vertices)
+    vertices = all_vertices if gamma != 0.0 else supervised
+    embedded = embed_network(arch, unitaries)
+    records = _dataset_records(arch, unitaries, dataset, embedded)
+
+    def blended_cost(patched: list[list[np.ndarray]], layer: int) -> float:
+        """The objective after re-running layers ``layer..`` with ``patched``."""
+        finals = {
+            v: forward(
+                arch, unitaries, records[v].layer_inputs[layer], embedded=patched,
+                start_layer=layer,
+            ).final
+            for v in vertices
+        }
+        cost = cost_supervised([finals[v] for v in supervised], targets, t)
+        if gamma != 0.0:
+            c_g = cost_graph([finals[v] for v in all_vertices], dataset.adjacency, t)
+            cost += gamma * GRAPH_GRADIENT_SCALE * c_g
+        return cost
+
+    cos_h, sin_h = np.cos(h), np.sin(h)
     layers = []
     for l in range(arch.num_unitary_layers):
+        width_in, space = arch.width_in(l), arch.width_in(l) + arch.width_out(l)
+        space_paulis = _pauli_stack(width_in + 1)
         layer = []
         for p in range(arch.width_out(l)):
-            k = eta * 2.0 ** (t - 1) * sv_mats[l][p]
-            if include_graph:
-                k = k + gamma * eta * 2.0 ** (t - 1) * GRAPH_GRADIENT_SCALE * g_mats[l][p]
-            layer.append(k)
+            base, qubits = embedded[l][p], _perceptron_targets(width_in, p)
+            patched = [list(emb) for emb in embedded]
+            grad = np.zeros(len(space_paulis))
+            for a in range(1, len(space_paulis)):
+                rotated = embed_operator(space_paulis[a], qubits, space) @ base
+                patched[l][p] = cos_h * base + 1j * sin_h * rotated
+                plus = blended_cost(patched, l)
+                patched[l][p] = cos_h * base - 1j * sin_h * rotated
+                grad[a] = (plus - blended_cost(patched, l)) / (2 * h)
+            layer.append(eta * 2.0 ** (t - 1) * np.tensordot(grad, space_paulis, axes=1))
         layers.append(tuple(layer))
     return UpdateGenerators(arch, tuple(layers))
 
@@ -553,7 +466,7 @@ def _analytic_generators(
         config.gamma,
         dataset.adjacency,
     )
-    return _vertex_generators(arch, embedded, records, seeds, config.eta)
+    return _vertex_generators(arch, embedded, records, seeds, 1.0)
 
 
 def _plateau_epoch(values: Sequence[float]) -> int | None:
@@ -576,10 +489,9 @@ def train(
 ) -> TrainingTrace:
     """Run the epoch loop; deterministic given (arch, dataset, config).
 
-    Each epoch computes generators from the epoch-start unitaries (closed
-    form in ``hybrid`` mode, finite differences in ``numeric``), applies one
-    synchronous rotation to every perceptron, then records all four costs at
-    the new unitaries. Both modes take any depth.
+    Each epoch computes the closed-form generators from the epoch-start
+    unitaries, applies one synchronous rotation to every perceptron, then
+    records all four costs at the new unitaries.
     """
     if dataset.input_qubits != arch.input_qubits:
         raise DimensionError(
@@ -600,10 +512,7 @@ def train(
     wall: list[float] = []
     for _ in range(config.epochs):
         t0 = time.perf_counter()
-        if config.k_mode == "numeric":
-            generators = k_numeric_oracle(arch, unitaries, dataset, config.gamma, config.eta)
-        else:
-            generators = _analytic_generators(arch, dataset, records, config, embedded)
+        generators = _analytic_generators(arch, dataset, records, config, embedded)
         unitaries = update_step(unitaries, generators, config.epsilon)
         embedded = embed_network(arch, unitaries)
         records = _dataset_records(arch, unitaries, dataset, embedded)

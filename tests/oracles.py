@@ -161,7 +161,8 @@ def graph_generators_per_edge(arch, embedded, records, adjacency):
     weight ``adjacency[v][w]`` and layer scale ``2**(m_{l-1} + 1)`` (eta 1).
     Production sums the same terms as one Laplacian-seeded pass per vertex.
     """
-    from resqnn.trainer import UpdateGenerators, _corner_block, _layer_pass
+    from resqnn.netcore import _corner_block
+    from resqnn.trainer import UpdateGenerators, _layer_pass
 
     acc = [
         [np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=complex)

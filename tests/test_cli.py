@@ -12,6 +12,7 @@ from resqnn.cli import (
     read_trace_csv,
     write_trace_csv,
 )
+from resqnn import graphdata
 from resqnn.graphdata import load_dataset
 from resqnn.netcore import arch_from_string, init_unitaries, load_checkpoint
 from resqnn.svgplot import Series, render_line_plot
@@ -144,10 +145,12 @@ class TestTrain:
         assert len(read_trace_csv(run_dir / "trace.csv")["epoch"]) == 6
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
+        # k_mode and eta were config fields once; old files carrying them now fail.
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"learning_rate": 3}))
-        assert _run("train", "--config", cfg_file, "--out", tmp_path / "r") == 2
-        assert "learning_rate" in capsys.readouterr().err
+        for payload in ({"learning_rate": 3}, {"k_mode": "numeric"}, {"eta": 1.0}):
+            cfg_file.write_text(json.dumps(payload))
+            assert _run("train", "--config", cfg_file, "--out", tmp_path / "r") == 2
+            assert repr(next(iter(payload))) in capsys.readouterr().err
 
     def test_custom_topology_is_not_offered(self, tmp_path, capsys):
         # No flag or config field carries an edge list, so "custom" could never run.
@@ -165,6 +168,17 @@ class TestTrain:
         assert _run("train", "--arch", "8,~12,8", "--out", tmp_path / "r") == 2
         assert "GiB" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_oversized_graph_exits_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # A budget just under the 40-vertex graph's estimate stands in for a
+        # graph too large to build; no edge list is ever built here.
+        estimate = 8 * 40**2 + graphdata.EDGE_BYTES * 381
+        monkeypatch.setattr(graphdata, "MAX_DENSE_BYTES", estimate - 1)
+        for command in ("gen-data", "train"):
+            assert _run(command, "--topology", "connected_clusters", "--vertices", 40,
+                        "--out", tmp_path / "r") == 2
+            assert "40 vertices (381 edges)" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
 
 class TestSweep:

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resqnn import graphdata
 from resqnn.graphdata import (
+    EDGE_BYTES,
     GraphDataset,
     GraphSpec,
     adjacency_matrix,
     build_graph_spec,
+    check_graph_size,
     default_supervised_indices,
     generate_dataset,
     load_dataset,
@@ -74,6 +77,35 @@ class TestSpecs:
             GraphSpec("ring", 4, (), (0,))
         with pytest.raises(ValueError):
             build_graph_spec("line", 4, 2, supervised_indices=[0])
+
+    @pytest.mark.parametrize("topology", ["line", "connected_clusters"])
+    def test_size_estimate_counts_the_built_edges(self, topology, monkeypatch):
+        # A budget of exactly the estimate for the built graph passes and one
+        # byte less fails, so the closed-form edge count is exact.
+        built = {n: len(build_graph_spec(topology, n, 1).edges) for n in range(2, 12)}
+        for n, num_edges in built.items():
+            budget = EDGE_BYTES * num_edges + 8 * n**2
+            monkeypatch.setattr(graphdata, "MAX_DENSE_BYTES", budget)
+            check_graph_size(topology, n)
+            monkeypatch.setattr(graphdata, "MAX_DENSE_BYTES", budget - 1)
+            with pytest.raises(ValueError, match="GiB"):
+                check_graph_size(topology, n)
+            with pytest.raises(ValueError, match="GiB"):
+                build_graph_spec(topology, n, 1)
+        monkeypatch.setattr(graphdata, "MAX_DENSE_BYTES", EDGE_BYTES * 3 + 8 * 16)
+        build_graph_spec("custom", 4, 1, edges=[(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="4 edges"):
+            build_graph_spec("custom", 4, 1, edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+
+    def test_rejects_oversized_graph_from_the_estimate(self):
+        # About 1e8 edges and a 20,000 x 20,000 adjacency: only the estimate
+        # is computed, nothing is built.
+        with pytest.raises(ValueError, match="99,990,001 edges.*21.6 GiB"):
+            check_graph_size("connected_clusters", 20_000)
+        with pytest.raises(ValueError, match="line graph on 12,000 vertices"):
+            check_graph_size("line", 12_000)
+        with pytest.raises(ValueError, match="inf GiB"):
+            check_graph_size("line", 10**400)
 
 
 class TestGeneration:
@@ -173,3 +205,12 @@ class TestSerialization:
         bad.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_dataset(bad)
+
+    def test_rejects_oversized_graph_before_building_it(self, tmp_path, monkeypatch):
+        # A budget one byte under the file's 3-vertex, 2-edge graph stands in
+        # for a file whose dense adjacency matrix would not fit.
+        path = tmp_path / "data.json"
+        save_dataset(path, generate_dataset(build_graph_spec("line", 3, 1), 1, seed=4))
+        monkeypatch.setattr(graphdata, "MAX_DENSE_BYTES", EDGE_BYTES * 2 + 8 * 3**2 - 1)
+        with pytest.raises(ValueError, match="3 vertices .2 edges. needs"):
+            load_dataset(path)

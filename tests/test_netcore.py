@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resqnn.netcore import (
-    MAX_DENSE_BYTES,
     Architecture,
     ArchitectureError,
     ForwardRecord,
@@ -23,6 +22,7 @@ from resqnn.netcore import (
     save_checkpoint,
 )
 from resqnn.qlinalg import (
+    MAX_DENSE_BYTES,
     DimensionError,
     OperatorState,
     PureState,

@@ -17,7 +17,6 @@ from resqnn.qlinalg import (
     embed_operator,
     exp_i_hermitian,
     fidelity_pure,
-    ground_state_projector,
     haar_random_unitary,
     pauli_coefficients,
     ptrace_qubits,
@@ -171,13 +170,6 @@ class TestTensorAndTrace:
             ptrace_qubits(mixed, 2, [2])
         with pytest.raises(DimensionError):
             ptrace_qubits(mixed, 2, [-1])
-
-    def test_ground_state_projector(self):
-        proj = ground_state_projector(2)
-        assert proj.shape == (4, 4)
-        assert proj[0, 0] == 1.0
-        assert np.abs(proj).sum() == 1.0
-        assert ground_state_projector(0).shape == (1, 1)
 
 
 class TestEmbedding:
