@@ -27,6 +27,10 @@ __all__ = [
     "cost_test",
 ]
 
+#: Bytes of per-edge temporaries ``cost_graph`` holds at once; edges beyond
+#: that are summed in further chunks.
+_SPREAD_CHUNK_BYTES = 2**22
+
 
 def _mean_fidelity(
     outputs: Sequence[OperatorState], targets: Sequence[PureState], residual_count: int
@@ -86,9 +90,14 @@ def cost_graph(
     if rows.size == 0:
         return 0.0
     finals = np.stack([out.matrix for out in outputs])
-    diff = finals[rows] - finals[cols]
-    # ||d||_F^2 equals tr(d @ d) for Hermitian d and is exactly 0 when d is.
-    spread = np.einsum("eij,eij->e", diff, diff.conj()).real
+    # A chunk holds two gathered outputs, their difference and its conjugate per edge.
+    step = max(1, _SPREAD_CHUNK_BYTES // (4 * finals[0].nbytes))
+    spread = np.zeros(rows.size)
+    for start in range(0, rows.size, step):
+        edges = slice(start, start + step)
+        diff = finals[rows[edges]] - finals[cols[edges]]
+        # ||d||_F^2 equals tr(d @ d) for Hermitian d and is exactly 0 when d is.
+        spread[edges] = np.einsum("eij,eij->e", diff, diff.conj()).real
     return 2.0 * float(adj[rows, cols] @ spread) / 2.0**residual_count
 
 

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .qlinalg import (
     _pairs_to_complex,
     embed_operator,
     haar_random_unitary,
-    ptrace_qubits,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "forward",
     "init_unitaries",
     "load_checkpoint",
-    "residual_add",
     "save_checkpoint",
 ]
 
@@ -252,9 +250,8 @@ def _perceptron_targets(width_in: int, j: int) -> list[int]:
 def embed_network(arch: Architecture, unitaries: LayerUnitaries) -> list[list[np.ndarray]]:
     """Embed every perceptron into its layer's full workspace once.
 
-    The forward pass and the update-generator engine both conjugate by these
-    matrices many times per epoch; embedding them once per epoch is the main
-    cheap win at this scale.
+    The forward pass and the update-generator engine both build each layer's
+    prefix blocks from these matrices, so they are embedded once per epoch.
     """
     embedded = []
     for l in range(arch.num_unitary_layers):
@@ -269,61 +266,54 @@ def embed_network(arch: Architecture, unitaries: LayerUnitaries) -> list[list[np
     return embedded
 
 
-def _ground_columns(u: np.ndarray, width_in: int, width_out: int) -> np.ndarray:
-    """Columns of a layer operator whose output qubits are all |0>.
+def _prefix_blocks(
+    embedded_layer: Sequence[np.ndarray], width_in: int, width_out: int
+) -> list[np.ndarray]:
+    """``P_1 = c`` and ``P_p = u_p P_{p-1}``, each ``2**(width_in+width_out) x 2**width_in``.
 
-    ``u (rho (x) |0..0><0..0|) u^dagger`` equals ``c rho c^dagger`` for these
-    columns ``c``, and ``<0..0| u^dagger B u |0..0>`` equals ``c^dagger B c``.
+    ``c`` holds the columns of ``u_1`` whose ancilla qubits are all ``|0>``,
+    where they start. The last block is the layer isometry ``W``: the layer
+    maps ``rho`` to ``tr_in(W rho W^dagger)``.
     """
-    return u.reshape(u.shape[0], 2**width_in, 2**width_out)[:, :, 0]
-
-
-def _layer_chain(
-    rho_matrix: np.ndarray, width_in: int, width_out: int, embedded_layer: Sequence[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(left, right)`` whose product is the state after each perceptron in turn.
-
-    The first adjoins the ancillas through its ground columns ``c`` (``c rho``,
-    ``c^dagger``); each later ``u`` gives ``u (left @ right)``, ``u^dagger``.
-    """
-    first = _ground_columns(embedded_layer[0], width_in, width_out)
-    left, right = first @ rho_matrix, first.conj().T
-    yield left, right
+    first = embedded_layer[0]
+    blocks = [first.reshape(first.shape[0], 2**width_in, 2**width_out)[:, :, 0]]
     for u in embedded_layer[1:]:
-        left, right = u @ (left @ right), u.conj().T
-        yield left, right
+        blocks.append(u @ blocks[-1])
+    return blocks
 
 
 def _apply_layer(
-    rho_matrix: np.ndarray, width_in: int, width_out: int, embedded_layer: Sequence[np.ndarray]
+    isometry: np.ndarray, rho_stack: np.ndarray, width_in: int, width_out: int
 ) -> np.ndarray:
-    space = width_in + width_out
-    for left, right in _layer_chain(rho_matrix, width_in, width_out, embedded_layer):
-        pass  # the layer output is the partial trace of the last pair
-    return ptrace_qubits(left, space, range(width_in, space), right=right)
+    """``tr_in(W rho_v W^dagger)`` for a ``(V, d_in, d_in)`` stack; input qubits lead."""
+    d_in, d_out = 2**width_in, 2**width_out
+    left = (isometry @ rho_stack).reshape(len(rho_stack), d_in, d_out, d_in)
+    return np.einsum("vioc,ipc->vop", left, isometry.conj().reshape(d_in, d_out, d_in))
 
 
 def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.ndarray:
-    """View of the block ``<0...0| matrix |0...0>`` on the last ``pad_qubits`` qubits."""
+    """View of each ``<0...0| matrix |0...0>`` block on the last ``pad_qubits`` qubits."""
     dim_keep, dim_pad = 2**keep_qubits, 2**pad_qubits
-    return matrix.reshape(dim_keep, dim_pad, dim_keep, dim_pad)[:, 0, :, 0]
+    shape = matrix.shape[:-2] + (dim_keep, dim_pad, dim_keep, dim_pad)
+    return matrix.reshape(shape)[..., :, 0, :, 0]
 
 
-def residual_add(rho_out: OperatorState, rho_in: OperatorState, delta_m: int) -> OperatorState:
-    """Shortcut addition: ``rho_out + rho_in (x) |0...0><0...0|`` on ``delta_m`` qubits.
-
-    ``rho_in`` lands in the ``|0...0>`` corner block of a copy of ``rho_out``.
-    """
-    if delta_m < 0:
-        raise DimensionError(f"shortcut padding must be non-negative, got {delta_m}")
-    if rho_in.num_qubits + delta_m != rho_out.num_qubits:
-        raise DimensionError(
-            f"cannot add a {rho_in.num_qubits}-qubit input padded by {delta_m} "
-            f"to a {rho_out.num_qubits}-qubit output"
-        )
-    total = np.array(rho_out.matrix)
-    _corner_block(total, rho_in.num_qubits, delta_m)[...] += rho_in.matrix
-    return OperatorState(total, rho_out.num_qubits)
+def _forward_stack(
+    arch: Architecture, embedded: list[list[np.ndarray]], rho_stack: np.ndarray, start_layer: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer input and output ``(V, d, d)`` stacks, as in :class:`ForwardRecord`."""
+    inputs, outputs = [rho_stack], []
+    for l in range(start_layer, arch.num_unitary_layers):
+        width_in, width_out = arch.width_in(l), arch.width_out(l)
+        isometry = _prefix_blocks(embedded[l], width_in, width_out)[-1]
+        outputs.append(_apply_layer(isometry, inputs[-1], width_in, width_out))
+        current = outputs[-1]
+        if arch.is_residual(l):
+            current = current.copy()
+            _corner_block(current, width_in, arch.delta_m(l))[...] += inputs[-1]
+        if l + 1 < arch.num_unitary_layers:
+            inputs.append(current)
+    return inputs, outputs
 
 
 @dataclass(frozen=True)
@@ -371,22 +361,13 @@ def forward(
         )
     if embedded is None:
         embedded = embed_network(arch, unitaries)
-    inputs = [rho_in]
-    outputs = []
-    current = rho_in
-    for l in range(start_layer, arch.num_unitary_layers):
-        out = OperatorState(
-            _apply_layer(current.matrix, arch.width_in(l), arch.width_out(l), embedded[l]),
-            arch.width_out(l),
-        )
-        outputs.append(out)
-        if arch.is_residual(l):
-            current = residual_add(out, current, arch.delta_m(l))
-        else:
-            current = out
-        if l + 1 < arch.num_unitary_layers:
-            inputs.append(current)
-    return ForwardRecord(tuple(inputs), tuple(outputs))
+    layers = range(start_layer, arch.num_unitary_layers)
+    inputs, outputs = _forward_stack(arch, embedded, rho_in.matrix[None], start_layer)
+    return ForwardRecord(
+        (rho_in,)
+        + tuple(OperatorState(m[0], arch.width_in(l)) for m, l in zip(inputs[1:], layers[1:])),
+        tuple(OperatorState(m[0], arch.width_out(l)) for m, l in zip(outputs, layers)),
+    )
 
 
 def save_checkpoint(

@@ -40,7 +40,6 @@ __all__ = [
     "pauli_coefficients",
     "ptrace_qubits",
     "random_pure_state",
-    "tensor_product",
 ]
 
 #: Absolute tolerance for Hermiticity checks.
@@ -150,17 +149,6 @@ class PureState:
     def density(self) -> OperatorState:
         """Rank-one projector |psi><psi| as an :class:`OperatorState`."""
         return OperatorState(np.outer(self.amplitudes, self.amplitudes.conj()), self.num_qubits)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices as one broadcast product (same entries)."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
-
-
-def tensor_product(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Kronecker product of two or more operators, left factor most significant."""
-    return reduce(_kron, rest, np.asarray(first, dtype=np.complex128))
 
 
 def ptrace_qubits(

@@ -25,7 +25,7 @@ shortcut additions enter both the recorded inputs and the adjoint pull-back,
 expanding the commutators reproduces one term per forward/backward path
 through the network, each path exactly once.
 
-Both cost terms share one backward pass per vertex, seeded with
+Both cost terms share one backward sweep over all vertices, seeded with
 
     seed_v = [v in S] / S * |phi_v><phi_v| + 2 * gamma * sum_w L_vw rho_w
 
@@ -35,8 +35,13 @@ neighbor pairs, the pass of ``in_v - in_w`` seeded with ``rho_v - rho_w`` at
 prefactor ``2**(m_{l-1}+1)``. The commutator is bilinear in (forward input,
 seed), so summing the pairs leaves vertex ``v`` the seed
 ``sum_w A_vw (rho_v - rho_w) = (L rho)_v``; the gamma term carries the factor
-2 because its prefactor is twice the supervised one. Vertices whose seed is
-exactly zero (unsupervised ones at gamma 0) run no pass.
+2 because its prefactor is twice the supervised one.
+
+A layer acts through its prefix blocks ``P_p = u_p ... u_2 c`` (``c``: the
+``|0...0>``-ancilla columns of ``u_1``) and isometry ``W = P_m``. With
+``G_v = W^dagger (I (x) B_v)`` for vertex ``v``'s backward operator ``B_v``
+and ``M = sum_v rho_v G_v``, perceptron ``p`` takes
+``tr_rest(P_p M u_m ... u_{p+1})``, and ``B_v`` pulls back to ``G_v W``.
 
 Finite-difference oracle
 ------------------------
@@ -77,10 +82,10 @@ from .netcore import (
     ForwardRecord,
     LayerUnitaries,
     _corner_block,
+    _forward_stack,
     _frozen_layers,
-    _ground_columns,
-    _layer_chain,
     _perceptron_targets,
+    _prefix_blocks,
     embed_network,
     forward,
     init_unitaries,
@@ -88,12 +93,12 @@ from .netcore import (
 from .qlinalg import (
     HERMITIAN_TOL,
     DimensionError,
+    OperatorState,
     PureState,
     _pauli_stack,
     embed_operator,
     exp_i_hermitian,
     ptrace_qubits,
-    tensor_product,
 )
 
 __all__ = [
@@ -176,107 +181,74 @@ class TrainingTrace:
 # ---------------------------------------------------------------------------
 
 
-def _layer_pass(
-    arch: Architecture,
-    layer: int,
-    embedded_layer: Sequence[np.ndarray],
-    rho_in_matrix: np.ndarray,
-    back_matrix: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Commutator contributions of one layer plus the pulled-back operator.
-
-    Returns ``i * tr_rest([forward_j, backward_j])`` for every perceptron
-    ``j``, and the back operator propagated to the previous layer's qubits
-    (adjoint of the layer map, before any shortcut corner term).
-    """
-    width_in, width_out = arch.width_in(layer), arch.width_out(layer)
-    space = width_in + width_out
-
-    # Backward: back_{p-1} = u_p^dagger back_p u_p, keeping ys[p] = u_p^dagger back_p;
-    # for the first perceptron only its ground columns ``first`` act.
-    back = tensor_product(np.eye(2**width_in, dtype=np.complex128), back_matrix)
-    ys = [None] * width_out
-    for p in range(width_out - 1, 0, -1):
-        u = embedded_layer[p]
-        ys[p] = u.conj().T @ back
-        back = ys[p] @ u
-    first = _ground_columns(embedded_layer[0], width_in, width_out)
-    ys[0] = first.conj().T @ back
-
-    # Forward: the state after perceptron p is left_p @ right_p, and
-    # right_p @ back_p = ys[p], so tr_rest(fwd_p back_p) = tr_rest(left_p ys[p]).
-    chain = _layer_chain(rho_in_matrix, width_in, width_out, embedded_layer)
-    halves = [
-        ptrace_qubits(left, space, _perceptron_targets(width_in, p), right=ys[p])
-        for p, (left, _) in enumerate(chain)
-    ]
-    # Both operators are Hermitian, so [fwd, back] = X - X^dagger with
-    # X = fwd @ back, and the partial trace commutes with the dagger.
-    contribs = [1j * (half - half.conj().T) for half in halves]
-    return contribs, ys[0] @ first
-
-
 def _vertex_seeds(
-    records: Sequence[ForwardRecord],
+    finals: np.ndarray,
     supervised: Sequence[int],
     targets: Sequence[PureState],
     gamma: float,
     adjacency: np.ndarray | None,
 ) -> np.ndarray:
     """Per-vertex backward seeds ``[v in S]/|S| |phi_v><phi_v| + 2 gamma (L rho^out)_v``."""
-    dim = records[0].final.matrix.shape[0]
     if gamma == 0.0:
-        seeds = np.zeros((len(records), dim, dim), dtype=np.complex128)
+        seeds = np.zeros_like(finals)
     else:
-        seeds = 2.0 * gamma * _laplacian_seeds(records, adjacency)
+        seeds = 2.0 * gamma * _laplacian_seeds(finals, adjacency)
     for v, phi in zip(supervised, targets):
         seeds[v] += np.outer(phi.amplitudes, phi.amplitudes.conj()) / len(targets)
     return seeds
 
 
-def _laplacian_seeds(records: Sequence[ForwardRecord], adjacency: np.ndarray) -> np.ndarray:
+def _laplacian_seeds(finals: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """``sum_w L_vw rho_w^out`` for every vertex ``v``, with ``L = D - A``."""
-    adj = _neighbor_weights(adjacency, len(records))
+    adj = _neighbor_weights(adjacency, len(finals))
     laplacian = np.diag(adj.sum(axis=1)) - adj
-    finals = np.stack([rec.final.matrix for rec in records])
     return np.tensordot(laplacian, finals, axes=1)
+
+
+def _record_stacks(records: Sequence[ForwardRecord]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-layer input stacks and the final-output stack of full forward passes."""
+    layers = zip(*(rec.layer_inputs for rec in records))
+    inputs = [np.stack([state.matrix for state in layer]) for layer in layers]
+    return inputs, np.stack([rec.final.matrix for rec in records])
 
 
 def _vertex_generators(
     arch: Architecture,
     embedded: list[list[np.ndarray]],
-    records: Sequence[ForwardRecord],
+    inputs: Sequence[np.ndarray],
     seeds: np.ndarray,
     eta: float,
 ) -> UpdateGenerators:
     """``eta * 2**m_{l-1} * sum_v i tr_rest([forward_v, backward(seed_v)])``.
 
-    One backward pass per vertex whose seed is not exactly zero: the seed is
-    pulled back layer by layer against the vertex's own recorded inputs, and
-    flagged layers also contribute their shortcut's corner-block adjoint.
+    One sweep per layer, last to first, over the ``(V, d, d)`` stacks of
+    layer inputs and backward operators; see the module docstring.
     """
-    acc = [
-        [np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=np.complex128)
-         for _ in range(arch.width_out(l))]
-        for l in range(arch.num_unitary_layers)
-    ]
-    for rec, seed in zip(records, seeds):
-        if not seed.any():
-            continue
-        back = seed
-        for l in range(arch.num_unitary_layers - 1, -1, -1):
-            contribs, pulled = _layer_pass(
-                arch, l, embedded[l], rec.layer_inputs[l].matrix, back
-            )
-            for p, c in enumerate(contribs):
-                acc[l][p] += c
-            if arch.is_residual(l):
-                pulled = pulled + _corner_block(back, arch.width_in(l), arch.delta_m(l))
-            back = pulled
-    layers = tuple(
-        tuple(eta * 2.0 ** arch.width_in(l) * k for k in layer) for l, layer in enumerate(acc)
-    )
-    return UpdateGenerators(arch, layers)
+    layers = [()] * arch.num_unitary_layers
+    back = seeds
+    for l in range(arch.num_unitary_layers - 1, -1, -1):
+        width_in, width_out = arch.width_in(l), arch.width_out(l)
+        d_in, d_out = 2**width_in, 2**width_out
+        blocks = _prefix_blocks(embedded[l], width_in, width_out)
+        isometry = blocks[-1]
+        # G_v = W^dagger (I (x) B_v): the identity acts on the input qubits.
+        pulled_left = (isometry.conj().T.reshape(-1, d_out) @ back).reshape(len(back), d_in, -1)
+        # M = sum_v rho_v G_v; perceptron p pairs P_p with R_p = M u_m ... u_{p+1}.
+        right = (inputs[l] @ pulled_left).sum(axis=0)
+        halves = [None] * width_out
+        for p in range(width_out - 1, -1, -1):
+            qubits = _perceptron_targets(width_in, p)
+            halves[p] = ptrace_qubits(blocks[p], width_in + width_out, qubits, right=right)
+            if p:
+                right = right @ embedded[l][p]
+        # Both operators are Hermitian, so [fwd, back] = X - X^dagger with
+        # X = fwd @ back, and the partial trace commutes with the dagger.
+        layers[l] = tuple(eta * 2.0**width_in * (1j * (h - h.conj().T)) for h in halves)
+        pulled = pulled_left @ isometry
+        if arch.is_residual(l):
+            pulled += _corner_block(back, width_in, arch.delta_m(l))
+        back = pulled
+    return UpdateGenerators(arch, tuple(layers))
 
 
 def supervised_generators(
@@ -294,8 +266,9 @@ def supervised_generators(
         )
     if embedded is None:
         embedded = embed_network(arch, unitaries)
-    seeds = _vertex_seeds(records, range(len(records)), targets, 0.0, None)
-    return _vertex_generators(arch, embedded, records, seeds, eta)
+    inputs, finals = _record_stacks(records)
+    seeds = _vertex_seeds(finals, range(len(records)), targets, 0.0, None)
+    return _vertex_generators(arch, embedded, inputs, seeds, eta)
 
 
 def graph_generators(
@@ -311,10 +284,11 @@ def graph_generators(
     Training subtracts these (``gamma <= 0``), shrinking the output spread
     between adjacent vertices.
     """
-    seeds = _laplacian_seeds(records, adjacency)
+    inputs, finals = _record_stacks(records)
+    seeds = _laplacian_seeds(finals, adjacency)
     if embedded is None:
         embedded = embed_network(arch, unitaries)
-    return _vertex_generators(arch, embedded, records, seeds, 2.0 * eta)
+    return _vertex_generators(arch, embedded, inputs, seeds, 2.0 * eta)
 
 
 def k_full(
@@ -341,18 +315,6 @@ def k_full(
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
-
-
-def _dataset_records(
-    arch: Architecture,
-    unitaries: LayerUnitaries,
-    dataset: GraphDataset,
-    embedded: list[list[np.ndarray]],
-) -> list[ForwardRecord]:
-    return [
-        forward(arch, unitaries, dataset.input_density(v), embedded=embedded)
-        for v in range(dataset.spec.num_vertices)
-    ]
 
 
 def k_numeric_oracle(
@@ -382,7 +344,10 @@ def k_numeric_oracle(
     all_vertices = range(dataset.spec.num_vertices)
     vertices = all_vertices if gamma != 0.0 else supervised
     embedded = embed_network(arch, unitaries)
-    records = _dataset_records(arch, unitaries, dataset, embedded)
+    records = {
+        v: forward(arch, unitaries, dataset.input_density(v), embedded=embedded)
+        for v in vertices
+    }
 
     def blended_cost(patched: list[list[np.ndarray]], layer: int) -> float:
         """The objective after re-running layers ``layer..`` with ``patched``."""
@@ -439,34 +404,34 @@ def update_step(
 
 
 def _cost_report(
-    arch: Architecture, dataset: GraphDataset, records: Sequence[ForwardRecord], gamma: float
+    arch: Architecture, dataset: GraphDataset, finals: np.ndarray, gamma: float
 ) -> CostReport:
     t = arch.residual_count
+    states = [OperatorState(m, arch.output_qubits) for m in finals]
     sup = dataset.spec.supervised_indices
-    c_sv = cost_supervised([records[v].final for v in sup], list(dataset.supervised_targets), t)
-    c_g = cost_graph([rec.final for rec in records], dataset.adjacency, t)
-    c_t = cost_test(
-        [records[v].final for v in dataset.spec.test_indices], list(dataset.test_targets), t
-    )
+    c_sv = cost_supervised([states[v] for v in sup], list(dataset.supervised_targets), t)
+    c_g = cost_graph(states, dataset.adjacency, t)
+    c_t = cost_test([states[v] for v in dataset.spec.test_indices], list(dataset.test_targets), t)
     return CostReport(c_sv=c_sv, c_g=c_g, c_full=cost_full(c_sv, c_g, gamma), c_test=c_t)
 
 
 def _analytic_generators(
     arch: Architecture,
     dataset: GraphDataset,
-    records: Sequence[ForwardRecord],
+    inputs: Sequence[np.ndarray],
+    finals: np.ndarray,
     config: TrainingConfig,
     embedded: list[list[np.ndarray]],
 ) -> UpdateGenerators:
-    """``k_full`` of both cost terms from one backward pass per vertex."""
+    """``k_full`` of both cost terms from one backward sweep over all vertices."""
     seeds = _vertex_seeds(
-        records,
+        finals,
         dataset.spec.supervised_indices,
         dataset.supervised_targets,
         config.gamma,
         dataset.adjacency,
     )
-    return _vertex_generators(arch, embedded, records, seeds, 1.0)
+    return _vertex_generators(arch, embedded, inputs, seeds, 1.0)
 
 
 def _plateau_epoch(values: Sequence[float]) -> int | None:
@@ -504,19 +469,23 @@ def train(
     if unitaries.arch != arch:
         raise ArchitectureError("initial unitaries do not match the architecture")
 
+    vertices = range(dataset.spec.num_vertices)
+    rho_stack = np.stack([dataset.input_density(v).matrix for v in vertices])
     embedded = embed_network(arch, unitaries)
-    records = _dataset_records(arch, unitaries, dataset, embedded)
-    initial_report = _cost_report(arch, dataset, records, config.gamma)
+    inputs, outputs = _forward_stack(arch, embedded, rho_stack, 0)
+    initial_report = _cost_report(arch, dataset, outputs[-1], config.gamma)
 
     reports: list[CostReport] = []
     wall: list[float] = []
     for _ in range(config.epochs):
         t0 = time.perf_counter()
-        generators = _analytic_generators(arch, dataset, records, config, embedded)
+        generators = _analytic_generators(
+            arch, dataset, inputs, outputs[-1], config, embedded
+        )
         unitaries = update_step(unitaries, generators, config.epsilon)
         embedded = embed_network(arch, unitaries)
-        records = _dataset_records(arch, unitaries, dataset, embedded)
-        reports.append(_cost_report(arch, dataset, records, config.gamma))
+        inputs, outputs = _forward_stack(arch, embedded, rho_stack, 0)
+        reports.append(_cost_report(arch, dataset, outputs[-1], config.gamma))
         wall.append((time.perf_counter() - t0) * 1000.0)
 
     plateau = _plateau_epoch([initial_report.c_full] + [r.c_full for r in reports])

@@ -153,39 +153,203 @@ def cost_graph_pairs(outputs, adjacency, residual_count: int) -> float:
     return total / 2.0**residual_count
 
 
+def _ground_columns(u: np.ndarray, width_in: int, width_out: int) -> np.ndarray:
+    """Columns of a layer operator whose output qubits are all |0>."""
+    return u.reshape(u.shape[0], 2**width_in, 2**width_out)[:, :, 0]
+
+
+def layer_chain(rho, width_in, width_out, embedded_layer):
+    """Yield ``(left, right)`` whose product is the state after each perceptron in turn.
+
+    The first adjoins the ancillas through its ground columns ``c`` (``c rho``,
+    ``c^dagger``); each later ``u`` gives ``u (left @ right)``, ``u^dagger``.
+    """
+    first = _ground_columns(embedded_layer[0], width_in, width_out)
+    left, right = first @ rho, first.conj().T
+    yield left, right
+    for u in embedded_layer[1:]:
+        left, right = u @ (left @ right), u.conj().T
+        yield left, right
+
+
+def forward_reference(arch, embedded, rho, start_layer=0):
+    """One vertex's layer inputs and outputs, perceptron by perceptron on the workspace.
+
+    Shortcuts add ``rho_in (x) |0..0><0..0|`` built with ``np.kron``.
+    """
+    from resqnn.qlinalg import ptrace_qubits
+
+    inputs, outputs = [rho], []
+    for l in range(start_layer, arch.num_unitary_layers):
+        width_in, width_out = arch.width_in(l), arch.width_out(l)
+        space = width_in + width_out
+        for left, right in layer_chain(rho, width_in, width_out, embedded[l]):
+            pass
+        out = ptrace_qubits(left, space, range(width_in, space), right=right)
+        outputs.append(out)
+        if arch.is_residual(l):
+            ground = np.zeros((2 ** arch.delta_m(l),) * 2, dtype=complex)
+            ground[0, 0] = 1.0
+            rho = out + np.kron(rho, ground)
+        else:
+            rho = out
+        if l + 1 < arch.num_unitary_layers:
+            inputs.append(rho)
+    return inputs, outputs
+
+
+def layer_pass(arch, layer, embedded_layer, rho_in, back_matrix):
+    """Commutator contributions of one layer for one vertex, plus the pulled-back operator.
+
+    Returns ``i * tr_rest([forward_j, backward_j])`` for every perceptron
+    ``j``, and the back operator propagated to the previous layer's qubits
+    (adjoint of the layer map, before any shortcut corner term).
+    """
+    from resqnn.netcore import _perceptron_targets
+    from resqnn.qlinalg import ptrace_qubits
+
+    width_in, width_out = arch.width_in(layer), arch.width_out(layer)
+    space = width_in + width_out
+    # Backward: back_{p-1} = u_p^dagger back_p u_p, keeping ys[p] = u_p^dagger back_p.
+    back = np.kron(np.eye(2**width_in), back_matrix)
+    ys = [None] * width_out
+    for p in range(width_out - 1, 0, -1):
+        u = embedded_layer[p]
+        ys[p] = u.conj().T @ back
+        back = ys[p] @ u
+    first = _ground_columns(embedded_layer[0], width_in, width_out)
+    ys[0] = first.conj().T @ back
+    # The state after perceptron p is left_p @ right_p, and right_p @ back_p = ys[p].
+    chain = layer_chain(rho_in, width_in, width_out, embedded_layer)
+    halves = [
+        ptrace_qubits(left, space, _perceptron_targets(width_in, p), right=ys[p])
+        for p, (left, _) in enumerate(chain)
+    ]
+    contribs = [1j * (half - half.conj().T) for half in halves]
+    return contribs, ys[0] @ first
+
+
+def _zero_generators(arch):
+    return [
+        [np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=complex)
+         for _ in range(arch.width_out(l))]
+        for l in range(arch.num_unitary_layers)
+    ]
+
+
+def _scaled_generators(arch, acc, eta):
+    from resqnn.trainer import UpdateGenerators
+
+    layers = tuple(
+        tuple(eta * 2.0 ** arch.width_in(l) * k for k in layer) for l, layer in enumerate(acc)
+    )
+    return UpdateGenerators(arch, layers)
+
+
+def _pull_back(arch, embedded, acc, layer_inputs, seed, weight=1.0):
+    """Add one pass of ``seed`` against ``layer_inputs[l]`` (per layer) into ``acc``."""
+    from resqnn.netcore import _corner_block
+
+    back = seed
+    for l in range(arch.num_unitary_layers - 1, -1, -1):
+        contribs, pulled = layer_pass(arch, l, embedded[l], layer_inputs[l], back)
+        for p, c in enumerate(contribs):
+            acc[l][p] += weight * c
+        if arch.is_residual(l):
+            pulled = pulled + _corner_block(back, arch.width_in(l), arch.delta_m(l))
+        back = pulled
+
+
+def vertex_generators_per_vertex(arch, embedded, vertex_inputs, seeds, eta):
+    """``eta * 2**m_{l-1} * sum_v i tr_rest([forward_v, backward(seed_v)])``, one pass per vertex.
+
+    ``vertex_inputs[v][l]`` is vertex ``v``'s input to layer ``l``.
+    """
+    acc = _zero_generators(arch)
+    for layer_inputs, seed in zip(vertex_inputs, seeds):
+        _pull_back(arch, embedded, acc, layer_inputs, seed)
+    return _scaled_generators(arch, acc, eta)
+
+
 def graph_generators_per_edge(arch, embedded, records, adjacency):
     """Graph generators from one backward pass per edge of the upper triangle.
 
     Edge ``(v, w)`` runs the forward operators on the input differences
     ``in_v - in_w`` of every layer against the seed ``rho_v - rho_w``, with
     weight ``adjacency[v][w]`` and layer scale ``2**(m_{l-1} + 1)`` (eta 1).
-    Production sums the same terms as one Laplacian-seeded pass per vertex.
+    Production sums the same terms in one Laplacian-seeded sweep over all vertices.
     """
-    from resqnn.netcore import _corner_block
-    from resqnn.trainer import UpdateGenerators, _layer_pass
-
-    acc = [
-        [np.zeros((2 ** (arch.width_in(l) + 1),) * 2, dtype=complex)
-         for _ in range(arch.width_out(l))]
-        for l in range(arch.num_unitary_layers)
-    ]
+    acc = _zero_generators(arch)
     n = len(records)
     for v in range(n):
         for w in range(v + 1, n):
             weight = float(adjacency[v][w])
             if weight == 0.0:
                 continue
-            back = records[v].final.matrix - records[w].final.matrix
-            for l in range(arch.num_unitary_layers - 1, -1, -1):
-                fwd_in = records[v].layer_inputs[l].matrix - records[w].layer_inputs[l].matrix
-                contribs, pulled = _layer_pass(arch, l, embedded[l], fwd_in, back)
-                for p, c in enumerate(contribs):
-                    acc[l][p] += weight * c
-                if arch.is_residual(l):
-                    pulled = pulled + _corner_block(back, arch.width_in(l), arch.delta_m(l))
-                back = pulled
-    layers = tuple(
-        tuple(2.0 ** (arch.width_in(l) + 1) * k for k in layer)
-        for l, layer in enumerate(acc)
-    )
-    return UpdateGenerators(arch, layers)
+            fwd_in = [
+                a.matrix - b.matrix
+                for a, b in zip(records[v].layer_inputs, records[w].layer_inputs)
+            ]
+            seed = records[v].final.matrix - records[w].final.matrix
+            _pull_back(arch, embedded, acc, fwd_in, seed, weight)
+    return _scaled_generators(arch, acc, 2.0)
+
+
+def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
+    """Generators from an exact four-point shift rule on ``c_sv + gamma * scale * c_g``.
+
+    Under ``u -> exp(i theta P) u`` every output is a trigonometric polynomial
+    in ``theta`` with frequencies {0, 2}, and the graph cost, quadratic in the
+    outputs, adds frequency 4. With ``D1 = C(pi/8) - C(-pi/8)`` and
+    ``D2 = C(3pi/8) - C(-3pi/8)``, ``dC/dtheta = (D1 + D2)/sqrt(2) + (D1 - D2)``
+    exactly. Assembled like ``k_numeric_oracle``: ``eta * 2**(t-1) * sum_P dC/dtheta_P P``.
+    Costs come from :func:`forward_reference`, not the production engine.
+    """
+    from resqnn.cost import cost_graph, cost_supervised
+    from resqnn.netcore import _perceptron_targets, embed_network
+    from resqnn.qlinalg import OperatorState, _pauli_stack, embed_operator
+    from resqnn.trainer import GRAPH_GRADIENT_SCALE, UpdateGenerators
+
+    t = arch.residual_count
+    supervised = dataset.spec.supervised_indices
+    targets = list(dataset.supervised_targets)
+    embedded = embed_network(arch, unitaries)
+    records = [
+        forward_reference(arch, embedded, dataset.input_density(v).matrix)[0]
+        for v in range(dataset.spec.num_vertices)
+    ]
+
+    def cost(patched, layer):
+        finals = [
+            OperatorState(forward_reference(arch, patched, ins[layer], layer)[1][-1],
+                          arch.output_qubits)
+            for ins in records
+        ]
+        value = cost_supervised([finals[v] for v in supervised], targets, t)
+        if gamma != 0.0:
+            value += gamma * GRAPH_GRADIENT_SCALE * cost_graph(finals, dataset.adjacency, t)
+        return value
+
+    layers = []
+    for l in range(arch.num_unitary_layers):
+        width_in, space = arch.width_in(l), arch.width_in(l) + arch.width_out(l)
+        paulis = _pauli_stack(width_in + 1)
+        layer = []
+        for p in range(arch.width_out(l)):
+            base, qubits = embedded[l][p], _perceptron_targets(width_in, p)
+            patched = [list(emb) for emb in embedded]
+            grad = np.zeros(len(paulis))
+            for a in range(1, len(paulis)):
+                rotated = embed_operator(paulis[a], qubits, space) @ base
+                diffs = []
+                for theta in (np.pi / 8, 3 * np.pi / 8):
+                    values = []
+                    for sign in (1.0, -1.0):
+                        patched[l][p] = np.cos(theta) * base + 1j * sign * np.sin(theta) * rotated
+                        values.append(cost(patched, l))
+                    diffs.append(values[0] - values[1])
+                d1, d2 = diffs
+                grad[a] = (d1 + d2) / np.sqrt(2.0) + (d1 - d2)
+            layer.append(eta * 2.0 ** (t - 1) * np.tensordot(grad, paulis, axes=1))
+        layers.append(tuple(layer))
+    return UpdateGenerators(arch, tuple(layers))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resqnn import cost
 from resqnn.cost import CostReport, cost_full, cost_graph, cost_supervised, cost_test
 from resqnn.netcore import arch_from_string, forward, init_unitaries
 from resqnn.qlinalg import (
@@ -120,6 +121,19 @@ class TestGraph:
         want = oracles.cost_graph_pairs(outputs, adjacency, t)
         assert want > 0.0
         assert abs(cost_graph(outputs, adjacency, t) - want) <= 1e-12 * want
+
+    def test_chunked_sum_equals_one_pass(self, monkeypatch):
+        # Three edges' temporaries per chunk over 13 edges leaves a short last chunk.
+        rng = np.random.default_rng(8)
+        outputs = [OperatorState(oracles.random_density(2, rng), 2) for _ in range(7)]
+        rows, cols = np.triu_indices(7, 1)
+        adjacency = np.zeros((7, 7))
+        adjacency[rows[:13], cols[:13]] = rng.uniform(0.1, 2.0, 13)
+        adjacency += adjacency.T
+        monkeypatch.setattr(cost, "_SPREAD_CHUNK_BYTES", 2**40)
+        whole = cost_graph(outputs, adjacency, 1)
+        monkeypatch.setattr(cost, "_SPREAD_CHUNK_BYTES", 3 * 4 * outputs[0].matrix.nbytes)
+        assert cost_graph(outputs, adjacency, 1) == whole
 
     def test_rejects_bad_adjacency(self):
         rng = np.random.default_rng(6)

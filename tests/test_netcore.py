@@ -12,13 +12,13 @@ from resqnn.netcore import (
     ArchitectureError,
     ForwardRecord,
     LayerUnitaries,
+    _corner_block,
     arch_from_string,
     arch_to_string,
     embed_network,
     forward,
     init_unitaries,
     load_checkpoint,
-    residual_add,
     save_checkpoint,
 )
 from resqnn.qlinalg import (
@@ -27,7 +27,6 @@ from resqnn.qlinalg import (
     OperatorState,
     PureState,
     random_pure_state,
-    tensor_product,
 )
 
 import oracles
@@ -177,7 +176,7 @@ class TestLayerForward:
         rng = np.random.default_rng(3)
         rho = OperatorState(oracles.random_density(1, rng), 1)
         out = single_layer_output([SWAP, SWAP], 1, 2, rho)
-        expected = tensor_product(rho.matrix, np.array([[1, 0], [0, 0]], dtype=complex))
+        expected = np.kron(rho.matrix, np.array([[1, 0], [0, 0]], dtype=complex))
         np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
 
     def test_trace_preserved(self):
@@ -190,31 +189,39 @@ class TestLayerForward:
         oracles.assert_valid_state(out)
 
 
+def _shortcut_sum(rho_out, rho_in, keep_qubits, pad_qubits):
+    """``rho_out + rho_in (x) |0..0><0..0|`` for stacks, through the corner-block view."""
+    total = rho_out.copy()
+    _corner_block(total, keep_qubits, pad_qubits)[...] += rho_in
+    return total
+
+
 class TestResidualAdd:
     def test_trace_adds_and_padding_block(self):
         rng = np.random.default_rng(5)
-        rho_in = OperatorState(oracles.random_density(1, rng), 1)
-        rho_out = OperatorState(oracles.random_density(2, rng), 2)
-        combined = residual_add(rho_out, rho_in, 1)
-        assert combined.trace() == pytest.approx(2.0, abs=1e-12)
-        expected = rho_out.matrix + np.kron(rho_in.matrix, [[1, 0], [0, 0]])
-        np.testing.assert_allclose(combined.matrix, expected, atol=1e-12)
-        oracles.assert_valid_state(combined)
+        rho_in = np.stack([oracles.random_density(1, rng) for _ in range(3)])
+        rho_out = np.stack([oracles.random_density(2, rng) for _ in range(3)])
+        combined = _shortcut_sum(rho_out, rho_in, 1, 1)
+        for v in range(3):
+            state = OperatorState(combined[v], 2)
+            assert state.trace() == pytest.approx(2.0, abs=1e-12)
+            expected = rho_out[v] + np.kron(rho_in[v], [[1, 0], [0, 0]])
+            np.testing.assert_allclose(state.matrix, expected, atol=1e-12)
+            oracles.assert_valid_state(state)
 
     def test_zero_padding_doubles_equal_states(self):
         rng = np.random.default_rng(6)
-        rho = OperatorState(oracles.random_density(2, rng), 2)
-        doubled = residual_add(rho, rho, 0)
-        np.testing.assert_allclose(doubled.matrix, 2 * rho.matrix, atol=1e-12)
+        rho = np.stack([oracles.random_density(2, rng) for _ in range(2)])
+        np.testing.assert_allclose(_shortcut_sum(rho, rho, 2, 0), 2 * rho, atol=1e-12)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(7)
-        rho1 = OperatorState(oracles.random_density(1, rng), 1)
-        rho2 = OperatorState(oracles.random_density(2, rng), 2)
-        with pytest.raises(DimensionError):
-            residual_add(rho2, rho1, 0)
-        with pytest.raises(DimensionError):
-            residual_add(rho1, rho2, -1)
+        rho1 = oracles.random_density(1, rng)[None]
+        rho2 = oracles.random_density(2, rng)[None]
+        with pytest.raises(ValueError):
+            _shortcut_sum(rho2, rho1, 1, 0)
+        with pytest.raises(ValueError):
+            _shortcut_sum(rho1, rho1, 1, 1)
 
 
 class TestForward:
@@ -249,9 +256,11 @@ class TestForward:
         rho = random_pure_state(1, rng).density()
         record = forward(arch, unis, rho)
         assert len(record.layer_inputs) == 2 and len(record.layer_outputs) == 2
-        expected_second_input = residual_add(record.layer_outputs[0], rho, 1)
+        expected_second_input = record.layer_outputs[0].matrix + np.kron(
+            rho.matrix, [[1, 0], [0, 0]]
+        )
         np.testing.assert_allclose(
-            record.layer_inputs[1].matrix, expected_second_input.matrix, atol=1e-12
+            record.layer_inputs[1].matrix, expected_second_input, atol=1e-12
         )
         assert record.final is record.layer_outputs[-1]
 

@@ -21,7 +21,6 @@ from resqnn.qlinalg import (
     pauli_coefficients,
     ptrace_qubits,
     random_pure_state,
-    tensor_product,
 )
 
 import oracles
@@ -86,19 +85,22 @@ class TestTensorAndTrace:
     @given(seed=seeds, na=st.integers(1, 2), nb=st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
     def test_tensor_trace_multiplicative(self, seed, na, nb):
+        # Keeping no qubit leaves the full trace, which a product multiplies.
         rng = rng_from(seed)
         a = oracles.random_hermitian(na, rng)
         b = oracles.random_hermitian(nb, rng)
-        prod = tensor_product(a, b)
-        assert prod.shape == (2 ** (na + nb),) * 2
-        assert abs(np.trace(prod) - np.trace(a) * np.trace(b)) <= 1e-12 * max(
+        full = ptrace_qubits(np.kron(a, b), na + nb, [])
+        assert full.shape == (1, 1)
+        assert abs(full[0, 0] - np.trace(a) * np.trace(b)) <= 1e-12 * max(
             1.0, abs(np.trace(a) * np.trace(b))
         )
 
     def test_tensor_product_three_factors(self):
+        # Single-qubit factors embedded on their own qubits compose to the product.
         x, y, z = qla.PAULI_X, qla.PAULI_Y, qla.PAULI_Z
         expected = np.kron(np.kron(x, y), z)
-        np.testing.assert_array_equal(tensor_product(x, y, z), expected)
+        composed = embed_operator(x, [0], 3) @ embed_operator(y, [1], 3) @ embed_operator(z, [2], 3)
+        np.testing.assert_array_equal(composed, expected)
 
     @given(seed=seeds, na=st.integers(1, 2), nb=st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
@@ -106,7 +108,7 @@ class TestTensorAndTrace:
         rng = rng_from(seed)
         rho = oracles.random_density(na, rng)
         sigma = oracles.random_density(nb, rng)
-        joint = tensor_product(rho, sigma)
+        joint = np.kron(rho, sigma)
         left = ptrace_qubits(joint, na + nb, range(na))
         right = ptrace_qubits(joint, na + nb, range(na, na + nb))
         np.testing.assert_allclose(left, rho * np.trace(sigma), atol=1e-12)
@@ -158,7 +160,7 @@ class TestTensorAndTrace:
         rng = rng_from(7)
         rho = oracles.random_density(1, rng)
         sigma = oracles.random_density(2, rng)
-        joint = tensor_product(rho, sigma)
+        joint = np.kron(rho, sigma)
         kept = ptrace_qubits(joint, 3, [1, 2])
         np.testing.assert_allclose(kept, sigma, atol=1e-12)
 

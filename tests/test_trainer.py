@@ -9,6 +9,7 @@ from resqnn.graphdata import adjacency_matrix, build_graph_spec, generate_datase
 from resqnn.netcore import (
     Architecture,
     ArchitectureError,
+    _forward_stack,
     arch_from_string,
     arch_to_string,
     embed_network,
@@ -54,6 +55,13 @@ def _analytic_full(arch, dataset, unitaries, embedded, records, gamma):
         return k_sv
     k_g = graph_generators(arch, unitaries, records, dataset.adjacency, 1.0, embedded)
     return k_full(k_sv, k_g, gamma)
+
+
+def _fused(arch, dataset, records, gamma, embedded):
+    """Training's blended generators from one sweep, at the records' unitaries."""
+    inputs, finals = trainer._record_stacks(records)
+    config = TrainingConfig(epochs=1, gamma=gamma)
+    return _analytic_generators(arch, dataset, inputs, finals, config, embedded)
 
 
 def _max_generator_diff(a, b):
@@ -120,6 +128,13 @@ class TestOracleEquivalence:
         k_n = k_numeric_oracle(arch, uni, ds, gamma=-1.0, h=1e-5)
         assert _max_generator_diff(k_a, k_n) < 1e-8
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5])
+    @pytest.mark.parametrize("arch_string", ["2,~3,2", "1,~1,~1,1", "2,3,~3,2"])
+    def test_generators_match_exact_shift_rule(self, arch_string, gamma):
+        arch, ds, uni, emb, recs = _setup(arch_string, 50)
+        want = oracles.k_shift_oracle(arch, uni, ds, gamma)
+        _assert_generators_close(_fused(arch, ds, recs, gamma, emb), want)
+
     def test_graph_scale_constant_is_calibrated(self):
         # The oracle is linear in gamma, so its gamma = 0 and gamma = -1
         # generators differ by the graph term alone, assembled with
@@ -184,7 +199,7 @@ class TestVertexEngine:
         uni = init_unitaries(arch, np.random.default_rng([seed, 1]))
         emb = embed_network(arch, uni)
         recs = [forward(arch, uni, ds.input_density(v), embedded=emb) for v in range(6)]
-        fused = _analytic_generators(arch, ds, recs, TrainingConfig(epochs=1, gamma=gamma), emb)
+        fused = _fused(arch, ds, recs, gamma, emb)
         sup = [recs[v] for v in ds.spec.supervised_indices]
         k_sv = supervised_generators(arch, uni, sup, list(ds.supervised_targets), 1.0, emb)
         k_g = graph_generators(arch, uni, recs, ds.adjacency, 1.0, emb)
@@ -192,24 +207,34 @@ class TestVertexEngine:
         if gamma == 0.0:
             assert _max_generator_diff(fused, k_sv) == 0.0
 
-    def test_zero_seeds_skip_their_pass(self, monkeypatch):
-        arch, ds, uni, emb, recs = _setup("2,~3,2", 41)
-        passes = []
-        layer_pass = trainer._layer_pass
-
-        def counting_pass(*args):
-            passes.append(args[1])
-            return layer_pass(*args)
-
-        monkeypatch.setattr(trainer, "_layer_pass", counting_pass)
-        _analytic_generators(arch, ds, recs, TrainingConfig(epochs=1), emb)
-        assert len(passes) == len(ds.spec.supervised_indices) * arch.num_unitary_layers
-        passes.clear()
-        # One edge among four vertices: the two isolated vertices have zero seeds.
-        one_edge = np.zeros((4, 4))
-        one_edge[2, 3] = one_edge[3, 2] = 1.0
-        graph_generators(arch, uni, recs, one_edge, 1.0, emb)
-        assert len(passes) == 2 * arch.num_unitary_layers
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_engine_matches_per_vertex_reference(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        drawn = oracles.random_architecture(rng)
+        hidden = drawn.num_hidden_layers
+        n = 5
+        for flags in (drawn.residual_flags, (True,) * hidden, (False,) * hidden):
+            arch = Architecture(drawn.layer_widths, flags)
+            uni = init_unitaries(arch, rng)
+            emb = embed_network(arch, uni)
+            rho = np.stack([oracles.random_density(arch.input_qubits, rng) for _ in range(n)])
+            inputs, outputs = _forward_stack(arch, emb, rho, 0)
+            reference = [oracles.forward_reference(arch, emb, r) for r in rho]
+            for v, (ref_inputs, ref_outputs) in enumerate(reference):
+                for got, want in zip(
+                    [s[v] for s in inputs + outputs], ref_inputs + ref_outputs
+                ):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (flags, v)
+            # Random Hermitian seeds, one of them zero.
+            seeds = np.stack(
+                [oracles.random_hermitian(arch.output_qubits, rng) for _ in range(n)]
+            )
+            seeds[1] = 0.0
+            got = trainer._vertex_generators(arch, emb, inputs, seeds, 1.0)
+            want = oracles.vertex_generators_per_vertex(
+                arch, emb, [ins for ins, _ in reference], seeds, 1.0
+            )
+            _assert_generators_close(got, want, flags)
 
     def test_graph_generators_reject_bad_adjacency(self):
         arch, ds, uni, emb, recs = _setup("2,~3,2", 42)
