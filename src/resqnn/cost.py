@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qlinalg import DimensionError, OperatorState, PureState, fidelity_pure
+from .qlinalg import DimensionError, OperatorState, PureState
 
 __all__ = [
     "CostReport",
@@ -33,16 +33,33 @@ _SPREAD_CHUNK_BYTES = 2**22
 
 
 def _mean_fidelity(
-    outputs: Sequence[OperatorState], targets: Sequence[PureState], residual_count: int
+    finals: np.ndarray, targets: Sequence[PureState], residual_count: int
 ) -> float:
+    """Mean ``<phi_v| rho_v |phi_v>`` over a ``(V, d, d)`` stack, rescaled by ``2**t``.
+
+    NaN when there are no pairs.
+    """
+    if not targets:
+        return float("nan")
+    amps = np.stack([phi.amplitudes for phi in targets])
+    overlaps = np.einsum("vi,vij,vj->v", amps.conj(), finals, amps).real
+    return float(overlaps.sum()) / (2.0**residual_count * len(targets))
+
+
+def _matched_stack(
+    outputs: Sequence[OperatorState], targets: Sequence[PureState]
+) -> np.ndarray:
+    """The outputs' matrices as one stack, checked against their targets pair by pair."""
     if len(outputs) != len(targets):
         raise DimensionError(
             f"{len(outputs)} outputs vs {len(targets)} targets"
         )
-    if not outputs:
-        return float("nan")
-    total = sum(fidelity_pure(phi, rho) for phi, rho in zip(targets, outputs))
-    return total / (2.0**residual_count * len(outputs))
+    for phi, rho in zip(targets, outputs):
+        if phi.num_qubits != rho.num_qubits:
+            raise DimensionError(
+                f"target has {phi.num_qubits} qubits, state has {rho.num_qubits}"
+            )
+    return np.array([rho.matrix for rho in outputs])
 
 
 def cost_supervised(
@@ -51,14 +68,14 @@ def cost_supervised(
     """Mean target overlap of the supervised vertices, rescaled to [0, 1]."""
     if not outputs:
         raise ValueError("supervised cost needs at least one output/target pair")
-    return _mean_fidelity(outputs, targets, residual_count)
+    return _mean_fidelity(_matched_stack(outputs, targets), targets, residual_count)
 
 
 def cost_test(
     outputs: Sequence[OperatorState], targets: Sequence[PureState], residual_count: int
 ) -> float:
     """Mean target overlap of the held-out vertices (NaN if there are none)."""
-    return _mean_fidelity(outputs, targets, residual_count)
+    return _mean_fidelity(_matched_stack(outputs, targets), targets, residual_count)
 
 
 def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> np.ndarray:
@@ -86,10 +103,14 @@ def cost_graph(
 ) -> float:
     """Adjacency-weighted Hilbert-Schmidt spread over ordered vertex pairs."""
     adj = _neighbor_weights(adjacency, len(outputs))
-    rows, cols = np.nonzero(np.triu(adj))
+    return _graph_spread(np.array([out.matrix for out in outputs]), adj, residual_count)
+
+
+def _graph_spread(finals: np.ndarray, weights: np.ndarray, residual_count: int) -> float:
+    """:func:`cost_graph` of a ``(V, d, d)`` stack under ``_neighbor_weights`` weights."""
+    rows, cols = np.nonzero(np.triu(weights))
     if rows.size == 0:
         return 0.0
-    finals = np.stack([out.matrix for out in outputs])
     # A chunk holds two gathered outputs, their difference and its conjugate per edge.
     step = max(1, _SPREAD_CHUNK_BYTES // (4 * finals[0].nbytes))
     spread = np.zeros(rows.size)
@@ -98,7 +119,7 @@ def cost_graph(
         diff = finals[rows[edges]] - finals[cols[edges]]
         # ||d||_F^2 equals tr(d @ d) for Hermitian d and is exactly 0 when d is.
         spread[edges] = np.einsum("eij,eij->e", diff, diff.conj()).real
-    return 2.0 * float(adj[rows, cols] @ spread) / 2.0**residual_count
+    return 2.0 * float(weights[rows, cols] @ spread) / 2.0**residual_count
 
 
 def cost_full(c_supervised: float, c_graph: float, gamma: float) -> float:

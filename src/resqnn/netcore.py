@@ -30,7 +30,6 @@ from .qlinalg import (
     OperatorState,
     _complex_to_pairs,
     _pairs_to_complex,
-    embed_operator,
     haar_random_unitary,
 )
 
@@ -97,13 +96,15 @@ class Architecture:
     def dense_bytes(self) -> float:
         """Bytes of the complex matrices ``embed_network`` and ``init_unitaries`` build.
 
-        Per layer: each perceptron embedded in the layer's workspace plus its
-        own Haar draw. Infinite when the estimate overflows a float.
+        Per layer: one ``2**m_{l-1} x 2**(m_{l-1}+m_l)`` prefix block per
+        perceptron plus its own Haar draw. Infinite when the estimate
+        overflows a float.
         """
         try:
             return sum(
                 16.0 * self.width_out(l)
-                * (4.0 ** (self.width_in(l) + self.width_out(l)) + 4.0 ** (self.width_in(l) + 1))
+                * (2.0 ** (2 * self.width_in(l) + self.width_out(l))
+                   + 4.0 ** (self.width_in(l) + 1))
                 for l in range(self.num_unitary_layers)
             )
         except OverflowError:
@@ -242,44 +243,57 @@ def init_unitaries(arch: Architecture, rng: np.random.Generator) -> LayerUnitari
     return LayerUnitaries(arch, tuple(layers))
 
 
-def _perceptron_targets(width_in: int, j: int) -> list[int]:
-    """Global qubits perceptron ``j`` acts on inside its layer's workspace."""
-    return list(range(width_in)) + [width_in + j]
+def _to_perceptron(m: np.ndarray, width_in: int, width_out: int, j: int) -> np.ndarray:
+    """Regroup the columns of a ``k x 2**(width_in+width_out)`` matrix for perceptron ``j``.
 
-
-def embed_network(arch: Architecture, unitaries: LayerUnitaries) -> list[list[np.ndarray]]:
-    """Embed every perceptron into its layer's full workspace once.
-
-    The forward pass and the update-generator engine both build each layer's
-    prefix blocks from these matrices, so they are embedded once per epoch.
+    Its qubits (all inputs, then output ``j``) become the last axis of a
+    ``(k * 2**(width_out-1), 2**(width_in+1))`` array, so ``M`` times ``u``
+    embedded on them is ``_from_perceptron(_to_perceptron(M) @ u)``.
     """
-    embedded = []
-    for l in range(arch.num_unitary_layers):
-        width_in, width_out = arch.width_in(l), arch.width_out(l)
-        space = width_in + width_out
-        embedded.append(
-            [
-                embed_operator(u, _perceptron_targets(width_in, j), space)
-                for j, u in enumerate(unitaries.layers[l])
-            ]
+    cols = m.reshape(len(m), 2**width_in, 2**j, 2, 2 ** (width_out - 1 - j))
+    return cols.transpose(0, 2, 4, 1, 3).reshape(-1, 2 ** (width_in + 1))
+
+
+def _from_perceptron(a: np.ndarray, width_in: int, width_out: int, j: int) -> np.ndarray:
+    """Inverse of :func:`_to_perceptron`."""
+    cols = a.reshape(-1, 2**j, 2 ** (width_out - 1 - j), 2**width_in, 2)
+    return cols.transpose(0, 3, 1, 4, 2).reshape(-1, 2 ** (width_in + width_out))
+
+
+def _layer_plan(
+    perceptrons: Sequence[np.ndarray], width_in: int, width_out: int
+) -> tuple[Sequence[np.ndarray], list[np.ndarray]]:
+    """The layer's perceptrons and its transposed prefix blocks ``B_p = (u_p ... u_1 E)^T``.
+
+    ``E`` adjoins the ancillas in ``|0...0>``, where they start. Each
+    ``2**width_in x 2**(width_in+width_out)`` block is one local product on
+    the one before: ``B_p = from(to(B_{p-1}) @ u_p^T)``. ``W = B_m^T`` is the
+    layer isometry: the layer maps ``rho`` to ``tr_in(W rho W^dagger)``.
+    """
+    d_in, d_out = 2**width_in, 2**width_out
+    block = np.zeros((d_in, d_in * d_out))
+    block[:, ::d_out] = np.eye(d_in)  # E^T
+    blocks = []
+    for j, u in enumerate(perceptrons):
+        block = _from_perceptron(
+            _to_perceptron(block, width_in, width_out, j) @ u.T, width_in, width_out, j
         )
-    return embedded
+        blocks.append(block)
+    return perceptrons, blocks
 
 
-def _prefix_blocks(
-    embedded_layer: Sequence[np.ndarray], width_in: int, width_out: int
-) -> list[np.ndarray]:
-    """``P_1 = c`` and ``P_p = u_p P_{p-1}``, each ``2**(width_in+width_out) x 2**width_in``.
+def embed_network(
+    arch: Architecture, unitaries: LayerUnitaries
+) -> list[tuple[Sequence[np.ndarray], list[np.ndarray]]]:
+    """Each layer's plan: its perceptrons and prefix blocks (see :func:`_layer_plan`).
 
-    ``c`` holds the columns of ``u_1`` whose ancilla qubits are all ``|0>``,
-    where they start. The last block is the layer isometry ``W``: the layer
-    maps ``rho`` to ``tr_in(W rho W^dagger)``.
+    The forward pass and the update-generator engine both read the plan, so
+    it is built once per epoch; callers treat it as opaque.
     """
-    first = embedded_layer[0]
-    blocks = [first.reshape(first.shape[0], 2**width_in, 2**width_out)[:, :, 0]]
-    for u in embedded_layer[1:]:
-        blocks.append(u @ blocks[-1])
-    return blocks
+    return [
+        _layer_plan(unitaries.layers[l], arch.width_in(l), arch.width_out(l))
+        for l in range(arch.num_unitary_layers)
+    ]
 
 
 def _apply_layer(
@@ -299,13 +313,13 @@ def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.n
 
 
 def _forward_stack(
-    arch: Architecture, embedded: list[list[np.ndarray]], rho_stack: np.ndarray, start_layer: int
+    arch: Architecture, plan: list, rho_stack: np.ndarray, start_layer: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer input and output ``(V, d, d)`` stacks, as in :class:`ForwardRecord`."""
     inputs, outputs = [rho_stack], []
     for l in range(start_layer, arch.num_unitary_layers):
         width_in, width_out = arch.width_in(l), arch.width_out(l)
-        isometry = _prefix_blocks(embedded[l], width_in, width_out)[-1]
+        isometry = plan[l][1][-1].T  # W = B_m^T
         outputs.append(_apply_layer(isometry, inputs[-1], width_in, width_out))
         current = outputs[-1]
         if arch.is_residual(l):
@@ -338,7 +352,7 @@ def forward(
     arch: Architecture,
     unitaries: LayerUnitaries,
     rho_in: OperatorState,
-    embedded: list[list[np.ndarray]] | None = None,
+    embedded: list | None = None,
     start_layer: int = 0,
 ) -> ForwardRecord:
     """Feedforward pass through unitary layers ``start_layer..`` to the output.

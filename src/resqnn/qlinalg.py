@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,12 +32,10 @@ __all__ = [
     "NonHermitianError",
     "OperatorState",
     "PureState",
-    "embed_operator",
     "exp_i_hermitian",
     "fidelity_pure",
     "haar_random_unitary",
     "pauli_coefficients",
-    "ptrace_qubits",
     "random_pure_state",
 ]
 
@@ -149,101 +146,6 @@ class PureState:
     def density(self) -> OperatorState:
         """Rank-one projector |psi><psi| as an :class:`OperatorState`."""
         return OperatorState(np.outer(self.amplitudes, self.amplitudes.conj()), self.num_qubits)
-
-
-def ptrace_qubits(
-    matrix: np.ndarray,
-    num_qubits: int,
-    keep: Iterable[int],
-    right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Partial trace keeping the listed qubits, in their original order.
-
-    Works on any square matrix (no Hermiticity assumed), which is what the
-    update-generator construction needs: commutators are anti-Hermitian.
-
-    Parameters
-    ----------
-    matrix:
-        ``(2**num_qubits, 2**num_qubits)`` array, or ``(2**num_qubits, inner)``
-        when ``right`` is given.
-    num_qubits:
-        Total qubit count of ``matrix``.
-    keep:
-        Qubit indices (big-endian, 0-based) to keep; all others are traced out.
-    right:
-        Optional ``(inner, 2**num_qubits)`` factor: the result is then the
-        partial trace of ``matrix @ right``, summed over the inner index and
-        the dropped qubits in one matrix product without forming the full
-        product (``dim * inner * 2**len(keep)`` operations, not ``dim**2 * inner``).
-    """
-    dim = 2**num_qubits
-    if right is None:
-        arr = _as_square_complex(matrix)
-        if arr.shape[0] != dim:
-            raise DimensionError(
-                f"matrix dimension {arr.shape[0]} does not match {num_qubits} qubits"
-            )
-    else:
-        arr = np.asarray(matrix)
-        if arr.ndim != 2 or arr.shape[0] != dim or right.shape != (arr.shape[1], dim):
-            raise DimensionError(
-                f"factors of shape {arr.shape} and {right.shape} do not match "
-                f"{num_qubits} qubits"
-            )
-    keep_list = sorted(set(int(q) for q in keep))
-    if keep_list and (keep_list[0] < 0 or keep_list[-1] >= num_qubits):
-        raise DimensionError(f"keep qubits {keep_list} out of range for {num_qubits} qubits")
-    drop = [q for q in range(num_qubits) if q not in keep_list]
-    dim_keep = 2 ** len(keep_list)
-    if right is not None:
-        # matrix[(k, d), c] and right[c, (k', d)], reordered to put (d, c) inside.
-        rows = arr.reshape([2] * num_qubits + [-1]).transpose(keep_list + drop + [num_qubits])
-        cols = right.reshape([-1] + [2] * num_qubits).transpose(
-            [1 + q for q in drop] + [0] + [1 + q for q in keep_list]
-        )
-        return rows.reshape(dim_keep, -1) @ cols.reshape(-1, dim_keep)
-    if not drop:
-        return arr.copy()
-    # Row qubit q is axis q and column qubit q axis num_qubits + q; a dropped
-    # qubit's column axis shares its row label, so einsum sums the diagonal.
-    cols = [q if q in drop else num_qubits + q for q in range(num_qubits)]
-    tensor = np.einsum(
-        arr.reshape([2] * (2 * num_qubits)),
-        list(range(num_qubits)) + cols,
-        keep_list + [num_qubits + q for q in keep_list],
-    )
-    return tensor.reshape(dim_keep, dim_keep)
-
-
-def embed_operator(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Extend an operator to ``num_qubits`` qubits, identity on the rest.
-
-    ``targets`` lists, in order, which global qubit each tensor factor of
-    ``op`` acts on; the result applies ``op`` there and the identity on all
-    other qubits.
-    """
-    arr = _as_square_complex(op, "operator")
-    targets = [int(t) for t in targets]
-    if len(set(targets)) != len(targets):
-        raise DimensionError(f"target qubits {targets} contain duplicates")
-    if targets and (min(targets) < 0 or max(targets) >= num_qubits):
-        raise DimensionError(f"target qubits {targets} out of range for {num_qubits} qubits")
-    k = len(targets)
-    if arr.shape[0] != 2**k:
-        raise DimensionError(
-            f"operator dimension {arr.shape[0]} does not match {k} target qubits"
-        )
-    if k == num_qubits and targets == list(range(num_qubits)):
-        return arr.copy()
-    rest = [q for q in range(num_qubits) if q not in targets]
-    order = targets + rest
-    full = np.kron(arr, np.eye(2 ** (num_qubits - k), dtype=np.complex128))
-    tensor = full.reshape([2] * (2 * num_qubits))
-    perm = [order.index(q) for q in range(num_qubits)]
-    tensor = tensor.transpose(perm + [num_qubits + p for p in perm])
-    dim = 2**num_qubits
-    return np.ascontiguousarray(tensor.reshape(dim, dim))
 
 
 def haar_random_unitary(num_qubits: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,11 +37,15 @@ seed), so summing the pairs leaves vertex ``v`` the seed
 ``sum_w A_vw (rho_v - rho_w) = (L rho)_v``; the gamma term carries the factor
 2 because its prefactor is twice the supervised one.
 
-A layer acts through its prefix blocks ``P_p = u_p ... u_2 c`` (``c``: the
-``|0...0>``-ancilla columns of ``u_1``) and isometry ``W = P_m``. With
+A layer acts through its prefix blocks ``P_p = u_p ... u_1 E`` (``E``
+adjoins the ancillas in ``|0...0>``) and isometry ``W = P_m``. With
 ``G_v = W^dagger (I (x) B_v)`` for vertex ``v``'s backward operator ``B_v``
 and ``M = sum_v rho_v G_v``, perceptron ``p`` takes
-``tr_rest(P_p M u_m ... u_{p+1})``, and ``B_v`` pulls back to ``G_v W``.
+``tr_rest(P_p R_p)`` with ``R_p = M u_m ... u_{p+1}``, and ``B_v`` pulls back
+to ``G_v W``. No perceptron is embedded in the workspace: the plan stores
+``B_p = P_p^T``, and ``netcore._to_perceptron`` regroups a ``d_in x D``
+matrix so that perceptron ``p``'s qubits form its last axis. Then
+``R_{p-1} = from(to(R_p) @ u_p)`` and ``tr_rest(P_p R_p) = to(B_p)^T @ to(R_p)``.
 
 Finite-difference oracle
 ------------------------
@@ -69,11 +73,12 @@ import numpy as np
 
 from .cost import (
     CostReport,
+    _graph_spread,
+    _mean_fidelity,
     _neighbor_weights,
     cost_full,
     cost_graph,
     cost_supervised,
-    cost_test,
 )
 from .graphdata import GraphDataset
 from .netcore import (
@@ -83,23 +88,15 @@ from .netcore import (
     LayerUnitaries,
     _corner_block,
     _forward_stack,
+    _from_perceptron,
     _frozen_layers,
-    _perceptron_targets,
-    _prefix_blocks,
+    _layer_plan,
+    _to_perceptron,
     embed_network,
     forward,
     init_unitaries,
 )
-from .qlinalg import (
-    HERMITIAN_TOL,
-    DimensionError,
-    OperatorState,
-    PureState,
-    _pauli_stack,
-    embed_operator,
-    exp_i_hermitian,
-    ptrace_qubits,
-)
+from .qlinalg import HERMITIAN_TOL, DimensionError, PureState, _pauli_stack, exp_i_hermitian
 
 __all__ = [
     "GRAPH_GRADIENT_SCALE",
@@ -214,7 +211,7 @@ def _record_stacks(records: Sequence[ForwardRecord]) -> tuple[list[np.ndarray], 
 
 def _vertex_generators(
     arch: Architecture,
-    embedded: list[list[np.ndarray]],
+    plan: list,
     inputs: Sequence[np.ndarray],
     seeds: np.ndarray,
     eta: float,
@@ -229,22 +226,21 @@ def _vertex_generators(
     for l in range(arch.num_unitary_layers - 1, -1, -1):
         width_in, width_out = arch.width_in(l), arch.width_out(l)
         d_in, d_out = 2**width_in, 2**width_out
-        blocks = _prefix_blocks(embedded[l], width_in, width_out)
-        isometry = blocks[-1]
-        # G_v = W^dagger (I (x) B_v): the identity acts on the input qubits.
-        pulled_left = (isometry.conj().T.reshape(-1, d_out) @ back).reshape(len(back), d_in, -1)
+        perceptrons, blocks = plan[l]
+        # G_v = W^dagger (I (x) B_v) with W = B_m^T: the identity acts on the input qubits.
+        pulled_left = (blocks[-1].conj().reshape(-1, d_out) @ back).reshape(len(back), d_in, -1)
         # M = sum_v rho_v G_v; perceptron p pairs P_p with R_p = M u_m ... u_{p+1}.
         right = (inputs[l] @ pulled_left).sum(axis=0)
         halves = [None] * width_out
         for p in range(width_out - 1, -1, -1):
-            qubits = _perceptron_targets(width_in, p)
-            halves[p] = ptrace_qubits(blocks[p], width_in + width_out, qubits, right=right)
+            local = _to_perceptron(right, width_in, width_out, p)
+            halves[p] = _to_perceptron(blocks[p], width_in, width_out, p).T @ local
             if p:
-                right = right @ embedded[l][p]
+                right = _from_perceptron(local @ perceptrons[p], width_in, width_out, p)
         # Both operators are Hermitian, so [fwd, back] = X - X^dagger with
         # X = fwd @ back, and the partial trace commutes with the dagger.
         layers[l] = tuple(eta * 2.0**width_in * (1j * (h - h.conj().T)) for h in halves)
-        pulled = pulled_left @ isometry
+        pulled = pulled_left @ blocks[-1].T
         if arch.is_residual(l):
             pulled += _corner_block(back, width_in, arch.delta_m(l))
         back = pulled
@@ -257,7 +253,7 @@ def supervised_generators(
     records: Sequence[ForwardRecord],
     targets: Sequence[PureState],
     eta: float = 1.0,
-    embedded: list[list[np.ndarray]] | None = None,
+    embedded: list | None = None,
 ) -> UpdateGenerators:
     """Ascent generators for the supervised cost, any depth and flag pattern."""
     if len(records) != len(targets) or not records:
@@ -277,7 +273,7 @@ def graph_generators(
     records: Sequence[ForwardRecord],
     adjacency: np.ndarray,
     eta: float = 1.0,
-    embedded: list[list[np.ndarray]] | None = None,
+    embedded: list | None = None,
 ) -> UpdateGenerators:
     """Ascent generators for the graph cost (sum over unordered neighbor pairs).
 
@@ -343,14 +339,18 @@ def k_numeric_oracle(
     targets = list(dataset.supervised_targets)
     all_vertices = range(dataset.spec.num_vertices)
     vertices = all_vertices if gamma != 0.0 else supervised
-    embedded = embed_network(arch, unitaries)
+    plan = embed_network(arch, unitaries)
     records = {
-        v: forward(arch, unitaries, dataset.input_density(v), embedded=embedded)
+        v: forward(arch, unitaries, dataset.input_density(v), embedded=plan)
         for v in vertices
     }
 
-    def blended_cost(patched: list[list[np.ndarray]], layer: int) -> float:
-        """The objective after re-running layers ``layer..`` with ``patched``."""
+    def blended_cost(layer: int, p: int, perceptron: np.ndarray) -> float:
+        """The objective with perceptron ``p`` of ``layer`` replaced (re-runs ``layer..``)."""
+        perceptrons = list(unitaries.layers[layer])
+        perceptrons[p] = perceptron
+        patched = list(plan)
+        patched[layer] = _layer_plan(perceptrons, arch.width_in(layer), arch.width_out(layer))
         finals = {
             v: forward(
                 arch, unitaries, records[v].layer_inputs[layer], embedded=patched,
@@ -367,20 +367,16 @@ def k_numeric_oracle(
     cos_h, sin_h = np.cos(h), np.sin(h)
     layers = []
     for l in range(arch.num_unitary_layers):
-        width_in, space = arch.width_in(l), arch.width_in(l) + arch.width_out(l)
-        space_paulis = _pauli_stack(width_in + 1)
+        local_paulis = _pauli_stack(arch.width_in(l) + 1)
         layer = []
-        for p in range(arch.width_out(l)):
-            base, qubits = embedded[l][p], _perceptron_targets(width_in, p)
-            patched = [list(emb) for emb in embedded]
-            grad = np.zeros(len(space_paulis))
-            for a in range(1, len(space_paulis)):
-                rotated = embed_operator(space_paulis[a], qubits, space) @ base
-                patched[l][p] = cos_h * base + 1j * sin_h * rotated
-                plus = blended_cost(patched, l)
-                patched[l][p] = cos_h * base - 1j * sin_h * rotated
-                grad[a] = (plus - blended_cost(patched, l)) / (2 * h)
-            layer.append(eta * 2.0 ** (t - 1) * np.tensordot(grad, space_paulis, axes=1))
+        for p, base in enumerate(unitaries.layers[l]):
+            grad = np.zeros(len(local_paulis))
+            for a in range(1, len(local_paulis)):
+                rotated = local_paulis[a] @ base
+                plus = blended_cost(l, p, cos_h * base + 1j * sin_h * rotated)
+                minus = blended_cost(l, p, cos_h * base - 1j * sin_h * rotated)
+                grad[a] = (plus - minus) / (2 * h)
+            layer.append(eta * 2.0 ** (t - 1) * np.tensordot(grad, local_paulis, axes=1))
         layers.append(tuple(layer))
     return UpdateGenerators(arch, tuple(layers))
 
@@ -407,11 +403,10 @@ def _cost_report(
     arch: Architecture, dataset: GraphDataset, finals: np.ndarray, gamma: float
 ) -> CostReport:
     t = arch.residual_count
-    states = [OperatorState(m, arch.output_qubits) for m in finals]
-    sup = dataset.spec.supervised_indices
-    c_sv = cost_supervised([states[v] for v in sup], list(dataset.supervised_targets), t)
-    c_g = cost_graph(states, dataset.adjacency, t)
-    c_t = cost_test([states[v] for v in dataset.spec.test_indices], list(dataset.test_targets), t)
+    sup, test = list(dataset.spec.supervised_indices), list(dataset.spec.test_indices)
+    c_sv = _mean_fidelity(finals[sup], dataset.supervised_targets, t)
+    c_g = _graph_spread(finals, _neighbor_weights(dataset.adjacency, len(finals)), t)
+    c_t = _mean_fidelity(finals[test], dataset.test_targets, t)
     return CostReport(c_sv=c_sv, c_g=c_g, c_full=cost_full(c_sv, c_g, gamma), c_test=c_t)
 
 
@@ -421,7 +416,7 @@ def _analytic_generators(
     inputs: Sequence[np.ndarray],
     finals: np.ndarray,
     config: TrainingConfig,
-    embedded: list[list[np.ndarray]],
+    plan: list,
 ) -> UpdateGenerators:
     """``k_full`` of both cost terms from one backward sweep over all vertices."""
     seeds = _vertex_seeds(
@@ -431,7 +426,7 @@ def _analytic_generators(
         config.gamma,
         dataset.adjacency,
     )
-    return _vertex_generators(arch, embedded, inputs, seeds, 1.0)
+    return _vertex_generators(arch, plan, inputs, seeds, 1.0)
 
 
 def _plateau_epoch(values: Sequence[float]) -> int | None:
@@ -471,8 +466,8 @@ def train(
 
     vertices = range(dataset.spec.num_vertices)
     rho_stack = np.stack([dataset.input_density(v).matrix for v in vertices])
-    embedded = embed_network(arch, unitaries)
-    inputs, outputs = _forward_stack(arch, embedded, rho_stack, 0)
+    plan = embed_network(arch, unitaries)
+    inputs, outputs = _forward_stack(arch, plan, rho_stack, 0)
     initial_report = _cost_report(arch, dataset, outputs[-1], config.gamma)
 
     reports: list[CostReport] = []
@@ -480,11 +475,11 @@ def train(
     for _ in range(config.epochs):
         t0 = time.perf_counter()
         generators = _analytic_generators(
-            arch, dataset, inputs, outputs[-1], config, embedded
+            arch, dataset, inputs, outputs[-1], config, plan
         )
         unitaries = update_step(unitaries, generators, config.epsilon)
-        embedded = embed_network(arch, unitaries)
-        inputs, outputs = _forward_stack(arch, embedded, rho_stack, 0)
+        plan = embed_network(arch, unitaries)
+        inputs, outputs = _forward_stack(arch, plan, rho_stack, 0)
         reports.append(_cost_report(arch, dataset, outputs[-1], config.gamma))
         wall.append((time.perf_counter() - t0) * 1000.0)
 

@@ -158,6 +158,36 @@ def _ground_columns(u: np.ndarray, width_in: int, width_out: int) -> np.ndarray:
     return u.reshape(u.shape[0], 2**width_in, 2**width_out)[:, :, 0]
 
 
+def _targets(width_in: int, j: int) -> list[int]:
+    """Workspace qubits of perceptron ``j``: every input qubit, then output qubit ``j``."""
+    return list(range(width_in)) + [width_in + j]
+
+
+def workspace_matrices(arch, unitaries):
+    """Every perceptron embedded in its layer's full workspace by :func:`embed_bruteforce`."""
+    layers = []
+    for l, perceptrons in enumerate(unitaries.layers):
+        width_in, space = arch.width_in(l), arch.width_in(l) + arch.width_out(l)
+        layers.append(
+            [embed_bruteforce(u, _targets(width_in, j), space) for j, u in enumerate(perceptrons)]
+        )
+    return layers
+
+
+def ptrace(matrix: np.ndarray, num_qubits: int, keep) -> np.ndarray:
+    """Partial trace keeping the (sorted) ``keep`` qubits, by one einsum over the rest."""
+    keep = sorted(keep)
+    # Row qubit q is axis q and column qubit q axis num_qubits + q; a dropped
+    # qubit's column axis shares its row label, so einsum sums the diagonal.
+    cols = [num_qubits + q if q in keep else q for q in range(num_qubits)]
+    tensor = np.einsum(
+        matrix.reshape([2] * (2 * num_qubits)),
+        list(range(num_qubits)) + cols,
+        keep + [num_qubits + q for q in keep],
+    )
+    return tensor.reshape(2 ** len(keep), 2 ** len(keep))
+
+
 def layer_chain(rho, width_in, width_out, embedded_layer):
     """Yield ``(left, right)`` whose product is the state after each perceptron in turn.
 
@@ -175,17 +205,16 @@ def layer_chain(rho, width_in, width_out, embedded_layer):
 def forward_reference(arch, embedded, rho, start_layer=0):
     """One vertex's layer inputs and outputs, perceptron by perceptron on the workspace.
 
-    Shortcuts add ``rho_in (x) |0..0><0..0|`` built with ``np.kron``.
+    ``embedded`` comes from :func:`workspace_matrices`. Shortcuts add
+    ``rho_in (x) |0..0><0..0|`` built with ``np.kron``.
     """
-    from resqnn.qlinalg import ptrace_qubits
-
     inputs, outputs = [rho], []
     for l in range(start_layer, arch.num_unitary_layers):
         width_in, width_out = arch.width_in(l), arch.width_out(l)
         space = width_in + width_out
         for left, right in layer_chain(rho, width_in, width_out, embedded[l]):
             pass
-        out = ptrace_qubits(left, space, range(width_in, space), right=right)
+        out = ptrace(left @ right, space, range(width_in, space))
         outputs.append(out)
         if arch.is_residual(l):
             ground = np.zeros((2 ** arch.delta_m(l),) * 2, dtype=complex)
@@ -205,9 +234,6 @@ def layer_pass(arch, layer, embedded_layer, rho_in, back_matrix):
     ``j``, and the back operator propagated to the previous layer's qubits
     (adjoint of the layer map, before any shortcut corner term).
     """
-    from resqnn.netcore import _perceptron_targets
-    from resqnn.qlinalg import ptrace_qubits
-
     width_in, width_out = arch.width_in(layer), arch.width_out(layer)
     space = width_in + width_out
     # Backward: back_{p-1} = u_p^dagger back_p u_p, keeping ys[p] = u_p^dagger back_p.
@@ -222,7 +248,7 @@ def layer_pass(arch, layer, embedded_layer, rho_in, back_matrix):
     # The state after perceptron p is left_p @ right_p, and right_p @ back_p = ys[p].
     chain = layer_chain(rho_in, width_in, width_out, embedded_layer)
     halves = [
-        ptrace_qubits(left, space, _perceptron_targets(width_in, p), right=ys[p])
+        ptrace(left @ ys[p], space, _targets(width_in, p))
         for p, (left, _) in enumerate(chain)
     ]
     contribs = [1j * (half - half.conj().T) for half in halves]
@@ -306,14 +332,13 @@ def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
     Costs come from :func:`forward_reference`, not the production engine.
     """
     from resqnn.cost import cost_graph, cost_supervised
-    from resqnn.netcore import _perceptron_targets, embed_network
-    from resqnn.qlinalg import OperatorState, _pauli_stack, embed_operator
+    from resqnn.qlinalg import OperatorState, _pauli_stack
     from resqnn.trainer import GRAPH_GRADIENT_SCALE, UpdateGenerators
 
     t = arch.residual_count
     supervised = dataset.spec.supervised_indices
     targets = list(dataset.supervised_targets)
-    embedded = embed_network(arch, unitaries)
+    embedded = workspace_matrices(arch, unitaries)
     records = [
         forward_reference(arch, embedded, dataset.input_density(v).matrix)[0]
         for v in range(dataset.spec.num_vertices)
@@ -336,11 +361,11 @@ def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
         paulis = _pauli_stack(width_in + 1)
         layer = []
         for p in range(arch.width_out(l)):
-            base, qubits = embedded[l][p], _perceptron_targets(width_in, p)
+            base, qubits = embedded[l][p], _targets(width_in, p)
             patched = [list(emb) for emb in embedded]
             grad = np.zeros(len(paulis))
             for a in range(1, len(paulis)):
-                rotated = embed_operator(paulis[a], qubits, space) @ base
+                rotated = embed_bruteforce(paulis[a], qubits, space) @ base
                 diffs = []
                 for theta in (np.pi / 8, 3 * np.pi / 8):
                     values = []

@@ -146,6 +146,33 @@ class TestGraph:
             cost_graph(outputs, np.array([[0, np.nan], [np.nan, 0]]), 0)
 
 
+class TestArrayKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernels_equal_public_costs(self, seed):
+        # Training scores (V, d, d) stacks through the kernels; the public
+        # functions wrap the same kernels around states.
+        rng = np.random.default_rng(seed)
+        n, q, t = 6, int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        outputs = [
+            OperatorState(2.0**t * oracles.random_density(q, rng), q) for _ in range(n)
+        ]
+        targets = [random_pure_state(q, rng) for _ in range(n)]
+        finals = np.stack([out.matrix for out in outputs])
+        sup = [0, 3]
+        sup_targets = [targets[v] for v in sup]
+        assert cost._mean_fidelity(finals[sup], sup_targets, t) == cost_supervised(
+            [outputs[v] for v in sup], sup_targets, t
+        )
+        assert cost._mean_fidelity(finals, targets, t) == cost_test(outputs, targets, t)
+        assert np.isnan(cost._mean_fidelity(finals[[]], [], t))
+        upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+        adjacency = upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n))
+        spread = cost._graph_spread(finals, cost._neighbor_weights(adjacency, n), t)
+        assert spread == cost_graph(outputs, adjacency, t)
+        want = oracles.cost_graph_pairs(outputs, adjacency, t)
+        assert abs(spread - want) <= 1e-12 * want
+
+
 class TestFullAndTest:
     def test_gamma_zero_is_supervised_only(self):
         assert cost_full(0.75, 123.0, 0.0) == 0.75

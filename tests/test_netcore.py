@@ -13,6 +13,8 @@ from resqnn.netcore import (
     ForwardRecord,
     LayerUnitaries,
     _corner_block,
+    _from_perceptron,
+    _to_perceptron,
     arch_from_string,
     arch_to_string,
     embed_network,
@@ -87,22 +89,71 @@ class TestArchitecture:
     def test_dense_bytes_matches_built_matrices(self):
         arch = arch_from_string("2,~3,2")
         unis = init_unitaries(arch, np.random.default_rng(0))
-        built = sum(m.nbytes for layer in embed_network(arch, unis) for m in layer)
+        built = sum(b.nbytes for _, blocks in embed_network(arch, unis) for b in blocks)
         built += sum(u.nbytes for layer in unis.layers for u in layer)
         assert arch.dense_bytes == built
 
     def test_rejects_architecture_over_memory_limit(self):
-        # 2**20 x 2**20 embedded perceptrons; only the estimate is computed.
-        estimate = 16 * (12 * (4**20 + 4**9) + 8 * (4**20 + 4**13))
+        # 2**16 x 2**28 and 2**24 x 2**32 prefix blocks; only the estimate is computed.
+        estimate = 16 * (12 * (2**28 + 4**9) + 8 * (2**32 + 4**13))
         assert estimate > MAX_DENSE_BYTES
         with pytest.raises(ArchitectureError, match=re.escape(f"{estimate / 2**30:,.1f} GiB")):
             arch_from_string("8,~12,8")
+
+    def test_wide_net_builds_what_it_estimates(self):
+        # Embedded workspace matrices would need 1.7 GiB here; the plan is small.
+        arch = arch_from_string("4,~6,~6,4")
+        unis = init_unitaries(arch, np.random.default_rng(1))
+        built = sum(b.nbytes for _, blocks in embed_network(arch, unis) for b in blocks)
+        built += sum(u.nbytes for layer in unis.layers for u in layer)
+        assert arch.dense_bytes == built < 2**26
 
     @given(seed=seeds)
     @settings(max_examples=50, deadline=None)
     def test_string_round_trip_random(self, seed):
         arch = oracles.random_architecture(np.random.default_rng(seed))
         assert arch_from_string(arch_to_string(arch)) == arch
+
+
+class TestPerceptronRegrouping:
+    """``_to_perceptron`` / ``_from_perceptron`` against full-workspace brute force."""
+
+    @staticmethod
+    def _draw(data, seed, w_in, w_out):
+        j = data.draw(st.integers(0, w_out - 1))
+        k = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(seed)
+        shape = (k, 2 ** (w_in + w_out))
+        return j, rng, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @given(seed=seeds, w_in=st.integers(1, 3), w_out=st.integers(1, 3), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_is_exact(self, seed, w_in, w_out, data):
+        j, _, m = self._draw(data, seed, w_in, w_out)
+        local = _to_perceptron(m, w_in, w_out, j)
+        assert local.shape == (len(m) * 2 ** (w_out - 1), 2 ** (w_in + 1))
+        np.testing.assert_array_equal(_from_perceptron(local, w_in, w_out, j), m)
+
+    @given(seed=seeds, w_in=st.integers(1, 3), w_out=st.integers(1, 3), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_local_product_matches_embedding(self, seed, w_in, w_out, data):
+        j, rng, m = self._draw(data, seed, w_in, w_out)
+        dim = 2 ** (w_in + 1)
+        u = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        got = _from_perceptron(_to_perceptron(m, w_in, w_out, j) @ u, w_in, w_out, j)
+        targets = list(range(w_in)) + [w_in + j]
+        want = m @ oracles.embed_bruteforce(u, targets, w_in + w_out)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @given(seed=seeds, w_in=st.integers(1, 3), w_out=st.integers(1, 3), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_partial_trace_matches_bruteforce(self, seed, w_in, w_out, data):
+        j, rng, a = self._draw(data, seed, w_in, w_out)
+        b = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+        got = _to_perceptron(a, w_in, w_out, j).T @ _to_perceptron(b, w_in, w_out, j)
+        targets = list(range(w_in)) + [w_in + j]
+        want = oracles.ptrace_bruteforce(a.T @ b, w_in + w_out, targets)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestUnitaries:

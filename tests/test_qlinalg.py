@@ -14,12 +14,10 @@ from resqnn.qlinalg import (
     NonHermitianError,
     OperatorState,
     PureState,
-    embed_operator,
     exp_i_hermitian,
     fidelity_pure,
     haar_random_unitary,
     pauli_coefficients,
-    ptrace_qubits,
     random_pure_state,
 )
 
@@ -82,6 +80,8 @@ class TestStates:
 
 
 class TestTensorAndTrace:
+    """The partial trace and embedding the reference engines in ``oracles`` build on."""
+
     @given(seed=seeds, na=st.integers(1, 2), nb=st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
     def test_tensor_trace_multiplicative(self, seed, na, nb):
@@ -89,7 +89,7 @@ class TestTensorAndTrace:
         rng = rng_from(seed)
         a = oracles.random_hermitian(na, rng)
         b = oracles.random_hermitian(nb, rng)
-        full = ptrace_qubits(np.kron(a, b), na + nb, [])
+        full = oracles.ptrace(np.kron(a, b), na + nb, [])
         assert full.shape == (1, 1)
         assert abs(full[0, 0] - np.trace(a) * np.trace(b)) <= 1e-12 * max(
             1.0, abs(np.trace(a) * np.trace(b))
@@ -99,7 +99,8 @@ class TestTensorAndTrace:
         # Single-qubit factors embedded on their own qubits compose to the product.
         x, y, z = qla.PAULI_X, qla.PAULI_Y, qla.PAULI_Z
         expected = np.kron(np.kron(x, y), z)
-        composed = embed_operator(x, [0], 3) @ embed_operator(y, [1], 3) @ embed_operator(z, [2], 3)
+        embed = oracles.embed_bruteforce
+        composed = embed(x, [0], 3) @ embed(y, [1], 3) @ embed(z, [2], 3)
         np.testing.assert_array_equal(composed, expected)
 
     @given(seed=seeds, na=st.integers(1, 2), nb=st.integers(1, 2))
@@ -109,15 +110,15 @@ class TestTensorAndTrace:
         rho = oracles.random_density(na, rng)
         sigma = oracles.random_density(nb, rng)
         joint = np.kron(rho, sigma)
-        left = ptrace_qubits(joint, na + nb, range(na))
-        right = ptrace_qubits(joint, na + nb, range(na, na + nb))
+        left = oracles.ptrace(joint, na + nb, range(na))
+        right = oracles.ptrace(joint, na + nb, range(na, na + nb))
         np.testing.assert_allclose(left, rho * np.trace(sigma), atol=1e-12)
         np.testing.assert_allclose(right, sigma * np.trace(rho), atol=1e-12)
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
         for keep in (0, 1):
-            reduced = ptrace_qubits(bell.density().matrix, 2, [keep])
+            reduced = oracles.ptrace(bell.density().matrix, 2, [keep])
             np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     @given(seed=seeds, n=st.integers(2, 4))
@@ -127,32 +128,14 @@ class TestTensorAndTrace:
         mat = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
         keep = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
         expected = oracles.ptrace_bruteforce(mat, n, keep)
-        np.testing.assert_allclose(ptrace_qubits(mat, n, keep), expected, atol=1e-12)
-
-    @given(seed=seeds, n=st.integers(1, 4), inner=st.integers(1, 16))
-    @settings(max_examples=30, deadline=None)
-    def test_ptrace_of_factors_matches_bruteforce_of_product(self, seed, n, inner):
-        rng = rng_from(seed)
-        left = rng.standard_normal((2**n, inner)) + 1j * rng.standard_normal((2**n, inner))
-        right = rng.standard_normal((inner, 2**n)) + 1j * rng.standard_normal((inner, 2**n))
-        keep = sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist())
-        expected = oracles.ptrace_bruteforce(left @ right, n, keep)
-        np.testing.assert_allclose(ptrace_qubits(left, n, keep, right=right), expected, atol=1e-12)
-
-    def test_ptrace_of_factors_rejects_mismatched_shapes(self):
-        with pytest.raises(DimensionError):
-            ptrace_qubits(np.eye(4), 2, [0], right=np.eye(2))
-        with pytest.raises(DimensionError):
-            ptrace_qubits(np.eye(4), 3, [0], right=np.eye(4))
-        with pytest.raises(DimensionError):
-            ptrace_qubits(np.eye(4), 2, [2], right=np.eye(4))
+        np.testing.assert_allclose(oracles.ptrace(mat, n, keep), expected, atol=1e-12)
 
     @given(seed=seeds, n=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_ptrace_preserves_trace_and_state_validity(self, seed, n):
         rng = rng_from(seed)
         state = OperatorState(oracles.random_density(n + 1, rng), n + 1)
-        reduced = OperatorState(ptrace_qubits(state.matrix, n + 1, range(1, n + 1)), n)
+        reduced = OperatorState(oracles.ptrace(state.matrix, n + 1, range(1, n + 1)), n)
         assert reduced.trace() == pytest.approx(state.trace(), abs=1e-12)
         oracles.assert_valid_state(reduced)
 
@@ -161,40 +144,15 @@ class TestTensorAndTrace:
         rho = oracles.random_density(1, rng)
         sigma = oracles.random_density(2, rng)
         joint = np.kron(rho, sigma)
-        kept = ptrace_qubits(joint, 3, [1, 2])
+        kept = oracles.ptrace(joint, 3, [1, 2])
         np.testing.assert_allclose(kept, sigma, atol=1e-12)
-
-    def test_partial_trace_rejects_bad_partition(self):
-        mixed = np.eye(4, dtype=complex) / 4
-        with pytest.raises(DimensionError):
-            ptrace_qubits(mixed, 3, [0])
-        with pytest.raises(DimensionError):
-            ptrace_qubits(mixed, 2, [2])
-        with pytest.raises(DimensionError):
-            ptrace_qubits(mixed, 2, [-1])
 
 
 class TestEmbedding:
-    @given(seed=seeds, n=st.integers(2, 4), k=st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_embed_matches_bruteforce(self, seed, n, k):
-        k = min(k, n)
-        rng = rng_from(seed)
-        op = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
-        targets = rng.permutation(n)[:k].tolist()
-        expected = oracles.embed_bruteforce(op, targets, n)
-        np.testing.assert_allclose(embed_operator(op, targets, n), expected, atol=1e-12)
-
     def test_embed_identity_everywhere(self):
         np.testing.assert_allclose(
-            embed_operator(np.eye(2, dtype=complex), [1], 3), np.eye(8), atol=1e-15
+            oracles.embed_bruteforce(np.eye(2, dtype=complex), [1], 3), np.eye(8), atol=1e-15
         )
-
-    def test_embed_rejects_duplicates_and_range(self):
-        with pytest.raises(DimensionError):
-            embed_operator(np.eye(4, dtype=complex), [0, 0], 3)
-        with pytest.raises(DimensionError):
-            embed_operator(np.eye(2, dtype=complex), [3], 3)
 
 
 class TestHaarSampling:

@@ -174,6 +174,7 @@ class TestVertexEngine:
         arch = oracles.random_architecture(rng)
         n = 6
         _, ds, uni, emb, recs = _setup(arch_to_string(arch), seed, num_vertices=n)
+        workspace = oracles.workspace_matrices(arch, uni)
         upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
         adjacencies = {
             "line": ds.adjacency,
@@ -183,7 +184,7 @@ class TestVertexEngine:
         }
         for name, adjacency in adjacencies.items():
             got = graph_generators(arch, uni, recs, adjacency, 1.0, emb)
-            want = oracles.graph_generators_per_edge(arch, emb, recs, adjacency)
+            want = oracles.graph_generators_per_edge(arch, workspace, recs, adjacency)
             _assert_generators_close(got, want, name)
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5])
@@ -219,7 +220,8 @@ class TestVertexEngine:
             emb = embed_network(arch, uni)
             rho = np.stack([oracles.random_density(arch.input_qubits, rng) for _ in range(n)])
             inputs, outputs = _forward_stack(arch, emb, rho, 0)
-            reference = [oracles.forward_reference(arch, emb, r) for r in rho]
+            workspace = oracles.workspace_matrices(arch, uni)
+            reference = [oracles.forward_reference(arch, workspace, r) for r in rho]
             for v, (ref_inputs, ref_outputs) in enumerate(reference):
                 for got, want in zip(
                     [s[v] for s in inputs + outputs], ref_inputs + ref_outputs
@@ -232,7 +234,7 @@ class TestVertexEngine:
             seeds[1] = 0.0
             got = trainer._vertex_generators(arch, emb, inputs, seeds, 1.0)
             want = oracles.vertex_generators_per_vertex(
-                arch, emb, [ins for ins, _ in reference], seeds, 1.0
+                arch, workspace, [ins for ins, _ in reference], seeds, 1.0
             )
             _assert_generators_close(got, want, flags)
 
@@ -423,6 +425,20 @@ class TestTrainingLoop:
         assert trace.reports[-1].c_sv == pytest.approx(c_sv, abs=1e-12)
         assert len(trace.wall_ms) == 3
         assert all(w >= 0.0 for w in trace.wall_ms)
+
+    def test_wide_net_trains_one_epoch(self):
+        # 4,~6,4 acts on 10-qubit layer workspaces; perceptrons act locally.
+        arch = arch_from_string("4,~6,4")
+        ds = generate_dataset(build_graph_spec("line", 4, 2), 4, delta=0.3, seed=35)
+        trace = train(arch, ds, TrainingConfig(epochs=1, seed=35, gamma=-0.5))
+        emb = embed_network(arch, trace.final_unitaries)
+        for v in range(4):
+            final = forward(arch, trace.final_unitaries, ds.input_density(v), embedded=emb).final
+            assert final.trace() == pytest.approx(2.0**arch.residual_count, abs=1e-10)
+            oracles.assert_valid_state(final)
+        report = trace.final_report
+        for value in (report.c_sv, report.c_g, report.c_test):
+            assert 0.0 <= value <= 1.0
 
     def test_plateau_annotation(self):
         from resqnn.trainer import _plateau_epoch
