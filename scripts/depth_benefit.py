@@ -9,6 +9,7 @@ curves: shortcut-equipped variants solid, the plain baseline dashed.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -35,14 +36,10 @@ def main() -> int:
     )
     if code != 0:
         return code
-    seed = args.seeds[0]
-
-    def cell(arch: str) -> str:
-        stem = arch.replace(",", "-").replace("~", "r")
-        return str(out / "cells" / f"arch={stem}__seed{seed}.csv")
-
+    cells = json.loads((out / "sweep.json").read_text())["cells"]
+    traces = {c["value"]: str(out / c["trace_csv"]) for c in cells if c["seed"] == args.seeds[0]}
     return cli_main(
-        ["plot", cell(ARCHS[0]), cell(ARCHS[1]), cell(ARCHS[2]),
+        ["plot", *(traces[arch] for arch in ARCHS),
          "--labels", *ARCHS,
          "--styles", "solid", "dashed", "solid",
          "--title", "held-out cost at depth, shortcuts vs none",

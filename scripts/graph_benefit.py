@@ -11,6 +11,7 @@ term measurably helps the held-out vertices.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -34,11 +35,10 @@ def main() -> int:
     )
     if code != 0:
         return code
-    seed = args.seeds[0]
+    cells = json.loads((out / "sweep.json").read_text())["cells"]
+    traces = {c["value"]: str(out / c["trace_csv"]) for c in cells if c["seed"] == args.seeds[0]}
     return cli_main(
-        ["plot",
-         str(out / "cells" / f"gamma=-0.5__seed{seed}.csv"),
-         str(out / "cells" / f"gamma=0__seed{seed}.csv"),
+        ["plot", traces["-0.5"], traces["0"],
          "--labels", "with graph cost", "without graph cost",
          "--styles", "solid", "dashed",
          "--title", "held-out cost, graph supervision on vs off",

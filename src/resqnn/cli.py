@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -53,7 +54,13 @@ __all__ = [
 TRACE_COLUMNS = ("epoch", "c_sv", "c_g", "c_full", "c_test", "wall_ms")
 #: A custom topology needs an edge list, which no flag or config field carries.
 _TOPOLOGIES = tuple(t for t in TOPOLOGIES if t != "custom")
-SWEEP_AXES = ("gamma", "supervised", "arch")
+#: Each sweep axis names the config field it sets and the parser of its values.
+_SWEEP_FIELDS = {
+    "gamma": ("gamma", float),
+    "supervised": ("num_supervised", int),
+    "arch": ("arch", str),
+}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 OUTPUT_ENV_VAR = "RESQNN_OUT"
 
 
@@ -195,18 +202,27 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run(
+    config: ExperimentConfig,
+    seed: int,
+    csv_path: Path,
+    dataset: GraphDataset | None = None,
+) -> TrainingTrace:
+    """Train ``config`` at ``seed`` (on a generated dataset by default); write the trace."""
+    if dataset is None:
+        dataset = _build_dataset(config, seed)
+    trace = train(arch_from_string(config.arch), dataset, config.training_config(seed))
+    write_trace_csv(csv_path, trace)
+    return trace
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     out = _prepare_out_dir(config)
-    arch = arch_from_string(config.arch)
     seed = config.seeds[0]
-    if args.dataset:
-        dataset = load_dataset(args.dataset)
-    else:
-        dataset = _build_dataset(config, seed)
-    trace = train(arch, dataset, config.training_config(seed))
+    dataset = load_dataset(args.dataset) if args.dataset else None
     csv_path = out / "trace.csv"
-    write_trace_csv(csv_path, trace)
+    trace = _run(config, seed, csv_path, dataset)
     checkpoint_path = out / "checkpoint.json"
     save_checkpoint(checkpoint_path, trace.final_unitaries, seed=seed)
     final = trace.final_report
@@ -221,18 +237,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_sweep_value(
-    config: ExperimentConfig, axis: str, raw_value: str
-) -> ExperimentConfig:
-    if axis == "gamma":
-        return dataclasses.replace(config, gamma=float(raw_value))
-    if axis == "supervised":
-        return dataclasses.replace(config, num_supervised=int(raw_value))
-    if axis == "arch":
-        return dataclasses.replace(config, arch=raw_value)
-    raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
-
-
 def _cell_stem(axis: str, raw_value: str, seed: int) -> str:
     sanitized = raw_value.replace(",", "-").replace("~", "r").replace(" ", "")
     return f"{axis}={sanitized}__seed{seed}"
@@ -245,57 +249,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep needs at least 2 seeds for error bars, got {len(config.seeds)}"
         )
     out = _prepare_out_dir(config)
-    cells_dir = out / "cells"
-    cells_dir.mkdir(exist_ok=True)
+    (out / "cells").mkdir(exist_ok=True)
+    field, parse = _SWEEP_FIELDS[args.vary]
 
     cells: list[dict] = []
-    failures = 0
-    for raw_value in args.values:
+    for raw_value, seed in itertools.product(args.values, config.seeds):
+        cell: dict = {"value": raw_value, "seed": seed, "error": None}
+        csv_rel = f"cells/{_cell_stem(args.vary, raw_value, seed)}.csv"
         try:
-            variant = _apply_sweep_value(config, args.vary, raw_value)
-            variant_arch = arch_from_string(variant.arch)
-        except ValueError as exc:
-            for seed in config.seeds:
-                failures += 1
-                cells.append({"value": raw_value, "seed": seed, "error": str(exc)})
-            continue
-        for seed in config.seeds:
-            cell: dict = {"value": raw_value, "seed": seed, "error": None}
-            csv_rel = f"cells/{_cell_stem(args.vary, raw_value, seed)}.csv"
-            try:
-                dataset = _build_dataset(variant, seed)
-                trace = train(variant_arch, dataset, variant.training_config(seed))
-                write_trace_csv(out / csv_rel, trace)
-                final = trace.final_report
-                cell.update(
-                    trace_csv=csv_rel,
-                    c_sv=final.c_sv,
-                    c_g=final.c_g,
-                    c_full=final.c_full,
-                    c_test=final.c_test,
-                )
-            except (ValueError, OSError) as exc:
-                failures += 1
-                cell["error"] = str(exc)
-            cells.append(cell)
+            variant = dataclasses.replace(config, **{field: parse(raw_value)})
+            trace = _run(variant, seed, out / csv_rel)
+        except (ValueError, OSError) as exc:
+            cell["error"] = str(exc)
+        else:
+            cell.update(trace_csv=csv_rel, **trace.final_report.as_dict())
+        cells.append(cell)
+    failures = sum(c["error"] is not None for c in cells)
 
     aggregates = []
     for raw_value in args.values:
         finals = [
             c["c_test"] for c in cells if c["value"] == raw_value and c["error"] is None
         ]
-        if len(finals) >= 2:
-            mean = statistics.mean(finals)
-            stderr = statistics.stdev(finals) / math.sqrt(len(finals))
-        else:
-            mean = finals[0] if finals else float("nan")
-            stderr = float("nan")
         aggregates.append(
             {
                 "value": raw_value,
                 "n_seeds": len(finals),
-                "mean_final_c_test": mean,
-                "stderr_final_c_test": stderr,
+                "mean_final_c_test": statistics.mean(finals) if finals else float("nan"),
+                "stderr_final_c_test": (
+                    statistics.stdev(finals) / math.sqrt(len(finals))
+                    if len(finals) >= 2
+                    else float("nan")
+                ),
             }
         )
 
@@ -356,12 +341,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
                 style=style,
             )
         )
-    svg = render_line_plot(
-        series,
-        title=args.title,
-        x_label="epoch",
-        y_label=args.column,
-    )
+    svg = render_line_plot(series, title=args.title, y_label=args.column)
     if args.out:
         out_path = Path(args.out)
     else:

@@ -388,7 +388,6 @@ def save_checkpoint(
     path: str | Path,
     unitaries: LayerUnitaries,
     seed: int | None = None,
-    extra: dict | None = None,
 ) -> None:
     """Write unitaries as JSON: arch string, seed, row-major [re, im] pairs."""
     arch = unitaries.arch
@@ -397,8 +396,6 @@ def save_checkpoint(
         "seed": seed,
         "layers": [[_complex_to_pairs(u) for u in layer] for layer in unitaries.layers],
     }
-    if extra:
-        payload["extra"] = extra
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 

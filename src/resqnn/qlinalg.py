@@ -33,7 +33,6 @@ __all__ = [
     "OperatorState",
     "PureState",
     "exp_i_hermitian",
-    "fidelity_pure",
     "haar_random_unitary",
     "pauli_coefficients",
     "random_pure_state",
@@ -183,16 +182,6 @@ def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(arr)
     phases = np.exp(1j * scale * eigvals)
     return (eigvecs * phases) @ eigvecs.conj().T
-
-
-def fidelity_pure(target: PureState, state: OperatorState) -> float:
-    """Overlap <target| state |target>; real, in [0, trace(state)]."""
-    if target.num_qubits != state.num_qubits:
-        raise DimensionError(
-            f"target has {target.num_qubits} qubits, state has {state.num_qubits}"
-        )
-    value = np.vdot(target.amplitudes, state.matrix @ target.amplitudes)
-    return float(value.real)
 
 
 @lru_cache(maxsize=8)

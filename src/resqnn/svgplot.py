@@ -56,30 +56,44 @@ def _escape(text: str) -> str:
     )
 
 
+def _line(
+    x1: float, y1: float, x2: float, y2: float, stroke: str, width: str = "1", dash: str = ""
+) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"{dash}/>'
+    )
+
+
+def _text(x: str, y: str, text: str, size: int, anchor: str = "") -> str:
+    """A sans-serif label; ``x`` and ``y`` are written as given."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" '
+        f'font-size="{size}">{_escape(text)}</text>'
+    )
+
+
 def render_line_plot(
     series: Sequence[Series],
     title: str = "",
-    x_label: str = "epoch",
     y_label: str = "held-out fidelity",
-    y_range: tuple[float, float] = (0.0, 1.0),
 ) -> str:
-    """Render the series to an SVG document string."""
+    """Render the series to an SVG document string, epoch on x and [0, 1] on y."""
     if not series:
         raise ValueError("need at least one series to plot")
-    y_lo, y_hi = y_range
-    if not y_hi > y_lo:
-        raise ValueError(f"invalid y range {y_range}")
     x_hi = max((max(s.xs) for s in series if s.xs), default=1.0)
     x_hi = max(x_hi, 1.0)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    axis_y = _MARGIN_TOP + plot_h
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x / x_hi) * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_TOP + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        return _MARGIN_TOP + (1.0 - y) * plot_h
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -87,58 +101,27 @@ def render_line_plot(
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        lines.append(
-            f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
-        )
+        lines.append(_text(_fmt(_MARGIN_LEFT + plot_w / 2), "24", title, 16, "middle"))
 
-    num_y_ticks = 5
-    for i in range(num_y_ticks + 1):
-        y_val = y_lo + (y_hi - y_lo) * i / num_y_ticks
+    num_ticks = 5
+    for i in range(num_ticks + 1):
+        y_val = i / num_ticks
         y_pix = py(y_val)
-        lines.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(y_pix)}" '
-            f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(y_pix)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(y_pix + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(y_val)}</text>'
-        )
-    num_x_ticks = 5
-    for i in range(num_x_ticks + 1):
-        x_val = x_hi * i / num_x_ticks
+        lines.append(_line(_MARGIN_LEFT, y_pix, _MARGIN_LEFT + plot_w, y_pix, "#dddddd"))
+        lines.append(_text(_fmt(_MARGIN_LEFT - 8), _fmt(y_pix + 4), _fmt(y_val), 12, "end"))
+    for i in range(num_ticks + 1):
+        x_val = x_hi * i / num_ticks
         x_pix = px(x_val)
-        lines.append(
-            f'<line x1="{_fmt(x_pix)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
-            f'x2="{_fmt(x_pix)}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{_fmt(x_pix)}" y="{_fmt(_MARGIN_TOP + plot_h + 20)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{_fmt(x_val).rstrip('0').rstrip('.')}</text>"
-        )
+        lines.append(_line(x_pix, axis_y, x_pix, axis_y + 5, "#333333"))
+        tick = _fmt(x_val).rstrip("0").rstrip(".")
+        lines.append(_text(_fmt(x_pix), _fmt(axis_y + 20), tick, 12, "middle"))
 
+    lines.append(_line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, axis_y, "#333333"))
+    lines.append(_line(_MARGIN_LEFT, axis_y, _MARGIN_LEFT + plot_w, axis_y, "#333333"))
     lines.append(
-        f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(_MARGIN_TOP)}" '
-        f'x2="{_fmt(_MARGIN_LEFT)}" y2="{_fmt(_MARGIN_TOP + plot_h)}" '
-        f'stroke="#333333" stroke-width="1"/>'
+        _text(_fmt(_MARGIN_LEFT + plot_w / 2), str(_HEIGHT - 10), "epoch", 13, "middle")
     )
-    lines.append(
-        f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" '
-        f'x2="{_fmt(_MARGIN_LEFT + plot_w)}" y2="{_fmt(_MARGIN_TOP + plot_h)}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_HEIGHT - 10}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f"{_escape(x_label)}</text>"
-    )
-    lines.append(
-        f'<text x="{_MARGIN_LEFT}" y="{_MARGIN_TOP - 10}" text-anchor="start" '
-        f'font-family="sans-serif" font-size="13">{_escape(y_label)}</text>'
-    )
+    lines.append(_text(str(_MARGIN_LEFT), str(_MARGIN_TOP - 10), y_label, 13, "start"))
 
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -152,15 +135,8 @@ def render_line_plot(
             )
         legend_x = _MARGIN_LEFT + plot_w + 16
         legend_y = _MARGIN_TOP + 14 + 18 * idx
-        lines.append(
-            f'<line x1="{_fmt(legend_x)}" y1="{_fmt(legend_y)}" '
-            f'x2="{_fmt(legend_x + 26)}" y2="{_fmt(legend_y)}" '
-            f'stroke="{color}" stroke-width="1.5"{dash}/>'
-        )
-        lines.append(
-            f'<text x="{_fmt(legend_x + 32)}" y="{_fmt(legend_y + 4)}" '
-            f'font-family="sans-serif" font-size="12">{_escape(s.label)}</text>'
-        )
+        lines.append(_line(legend_x, legend_y, legend_x + 26, legend_y, color, "1.5", dash))
+        lines.append(_text(_fmt(legend_x + 32), _fmt(legend_y + 4), s.label, 12))
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Tests for the command-line harness and the SVG renderer."""
 
+import hashlib
 import json
 import math
 
@@ -221,6 +222,23 @@ class TestSweep:
         assert {a["value"] for a in result2["aggregates"]} == {"2,~3,2", "2,3,2"}
         assert (out2 / "cells" / "arch=2-r3-2__seed0.csv").exists()
 
+    def test_cell_trace_equals_train_trace(self, tmp_path, capsys):
+        common = ("--arch", "2,~3,2", "--epochs", 4, "--vertices", 4, "--supervised", 2)
+        assert _run("train", "--out", tmp_path / "tr", "--seed", 1, "--gamma", "-0.5",
+                    *common) == 0
+        assert _run("sweep", "--out", tmp_path / "sw", "--vary", "gamma", "--values", "-0.5",
+                    "--seeds", 0, 1, *common) == 0
+        capsys.readouterr()
+
+        def rows_without_wall_ms(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        train_rows = rows_without_wall_ms(tmp_path / "tr" / "trace.csv")
+        assert len(train_rows) == 5
+        assert rows_without_wall_ms(tmp_path / "sw" / "cells" / "gamma=-0.5__seed1.csv") == (
+            train_rows
+        )
+
     def test_single_seed_rejected(self, tmp_path, capsys):
         assert _run("sweep", "--out", tmp_path / "x", "--vary", "gamma",
                     "--values", "0", "--seeds", 3, "--epochs", 1) == 2
@@ -350,6 +368,18 @@ class TestSvgRenderer:
         svg = render_line_plot([s])
         assert "a&lt;b&amp;c" in svg
         assert "a<b" not in svg
+
+    def test_rendering_is_pinned(self):
+        # A fixed digest, so that a change to any element's layout or number
+        # format shows here rather than only between two runs of the same code.
+        series = [
+            Series("with <graph> & cost", (0.0, 1.0, 2.0, 3.0), (0.25, float("nan"), 0.5, 0.875)),
+            Series("plain", (0.0, 1.0, 2.0, 3.0), (0.125, 0.375, 0.625, 0.75), style="dashed"),
+        ]
+        svg = render_line_plot(series, title="c_sv <on> & off", y_label="c_sv")
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "0f0661d7b68d17dbaddde296898435451132547a6be12659619f7e0b0ac213fa"
+        )
 
     def test_render_is_deterministic(self):
         s = Series("x", tuple(range(10)), tuple(i / 10 for i in range(10)))

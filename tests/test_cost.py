@@ -73,6 +73,8 @@ class TestSupervised:
         rng = np.random.default_rng(2)
         with pytest.raises(DimensionError):
             cost_supervised([random_pure_state(1, rng).density()], [], 0)
+        with pytest.raises(DimensionError):
+            cost_supervised([random_pure_state(2, rng).density()], [random_pure_state(1, rng)], 0)
 
 
 class TestGraph:

@@ -15,7 +15,6 @@ from resqnn.qlinalg import (
     OperatorState,
     PureState,
     exp_i_hermitian,
-    fidelity_pure,
     haar_random_unitary,
     pauli_coefficients,
     random_pure_state,
@@ -217,37 +216,6 @@ class TestExponential:
 
 
 class TestDistances:
-    def test_fidelity_of_own_projector(self):
-        psi = random_pure_state(2, rng_from(11))
-        assert fidelity_pure(psi, psi.density()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_fidelity_orthogonal(self):
-        zero = PureState(np.array([1, 0], dtype=complex), 1)
-        one = PureState(np.array([0, 1], dtype=complex), 1)
-        assert fidelity_pure(zero, one.density()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_fidelity_of_inflated_state(self):
-        # Trace-2 mixture of the target and an orthogonal state: overlap 1.
-        psi = PureState(np.array([1, 0], dtype=complex), 1)
-        perp = PureState(np.array([0, 1], dtype=complex), 1)
-        inflated = OperatorState(psi.density().matrix + perp.density().matrix, 1)
-        assert fidelity_pure(psi, inflated) == pytest.approx(1.0, abs=1e-12)
-
-    @given(seed=seeds, n=st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_fidelity_bounds(self, seed, n):
-        rng = rng_from(seed)
-        state = OperatorState(oracles.random_density(n, rng), n)
-        psi = random_pure_state(n, rng)
-        value = fidelity_pure(psi, state)
-        assert -1e-12 <= value <= state.trace() + 1e-12
-
-    def test_fidelity_dimension_mismatch(self):
-        psi = random_pure_state(1, rng_from(3))
-        state = OperatorState(np.eye(4, dtype=complex) / 4, 2)
-        with pytest.raises(DimensionError):
-            fidelity_pure(psi, state)
-
     def test_hs_distance_orthogonal_pure_states(self):
         zero = PureState(np.array([1, 0], dtype=complex), 1).density()
         one = PureState(np.array([0, 1], dtype=complex), 1).density()
