@@ -58,7 +58,7 @@ _TOPOLOGIES = tuple(t for t in TOPOLOGIES if t != "custom")
 _SWEEP_FIELDS = {
     "gamma": ("gamma", float),
     "supervised": ("num_supervised", int),
-    "arch": ("arch", str),
+    "arch": ("arch", lambda text: arch_to_string(arch_from_string(text))),
 }
 SWEEP_AXES = tuple(_SWEEP_FIELDS)
 OUTPUT_ENV_VAR = "RESQNN_OUT"
@@ -248,9 +248,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"sweep needs at least 2 seeds for error bars, got {len(config.seeds)}"
         )
+    field, parse = _SWEEP_FIELDS[args.vary]
+    seen: dict = {}
+    for raw in args.values:
+        try:
+            setting = parse(raw)
+        except ValueError:
+            continue  # fails again below, as a recorded cell
+        if setting in seen:
+            raise ValueError(f"--values {seen[setting]!r} and {raw!r} are the same {args.vary}")
+        seen[setting] = raw
     out = _prepare_out_dir(config)
     (out / "cells").mkdir(exist_ok=True)
-    field, parse = _SWEEP_FIELDS[args.vary]
 
     cells: list[dict] = []
     for raw_value, seed in itertools.product(args.values, config.seeds):

@@ -185,11 +185,12 @@ def _frozen_layers(
     layers: Sequence[Sequence[np.ndarray]],
     item: str,
     check: Callable[[np.ndarray, str], None],
-) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Read-only copies of one square matrix per perceptron, laid out as ``arch``.
+) -> tuple[np.ndarray, ...]:
+    """Read-only ``(m_l, d, d)`` copies of each layer's matrices, laid out as ``arch``.
 
-    Checks the layer count, the per-layer count and every shape, naming the
-    matrices ``item``; ``check(matrix, where)`` adds the owner's own test.
+    Checks the layer count and each layer's shape, naming the matrices
+    ``item``; ``check(stack, where)`` adds the owner's own test on a whole
+    layer and names its ``j``-th matrix ``where.format(j)``.
     """
     if len(layers) != arch.num_unitary_layers:
         raise ArchitectureError(
@@ -197,37 +198,36 @@ def _frozen_layers(
         )
     frozen_layers = []
     for l, layer in enumerate(layers):
-        dim = 2 ** (arch.width_in(l) + 1)
-        if len(layer) != arch.width_out(l):
-            raise ArchitectureError(
-                f"layer {l} needs {arch.width_out(l)} {item}s, got {len(layer)}"
-            )
-        frozen = []
-        for j, m in enumerate(layer):
-            mat = np.array(m, dtype=np.complex128)
-            if mat.shape != (dim, dim):
-                raise ArchitectureError(
-                    f"{item} ({l},{j}) has shape {mat.shape}, expected {(dim, dim)}"
-                )
-            check(mat, f"{item} ({l},{j})")
-            mat.setflags(write=False)
-            frozen.append(mat)
-        frozen_layers.append(tuple(frozen))
+        shape = (arch.width_out(l),) + (2 ** (arch.width_in(l) + 1),) * 2
+        try:
+            stack = np.array(layer, dtype=np.complex128)
+        except ValueError as exc:
+            raise ArchitectureError(f"layer {l} {item}s: {exc}") from exc
+        if stack.shape != shape:
+            raise ArchitectureError(f"layer {l} needs {item}s of shape {shape}, got {stack.shape}")
+        check(stack, f"{item} ({l},{{}})")
+        stack.setflags(write=False)
+        frozen_layers.append(stack)
     return tuple(frozen_layers)
 
 
-def _check_unitary(mat: np.ndarray, where: str) -> None:
-    defect = np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()
-    if defect > UNITARY_TOL:
-        raise ArchitectureError(f"{where} deviates from unitarity by {defect:.3e}")
+def _check_unitary(stack: np.ndarray, where: str) -> None:
+    products = stack @ stack.conj().swapaxes(-1, -2)
+    defects = np.abs(products - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    j = np.argmax(defects > UNITARY_TOL)  # the first failing perceptron, if any
+    if defects[j] > UNITARY_TOL:
+        raise ArchitectureError(f"{where.format(j)} deviates from unitarity by {defects[j]:.3e}")
 
 
 @dataclass(frozen=True)
 class LayerUnitaries:
-    """Per-layer tuples of perceptron unitaries, validated against ``arch``."""
+    """Perceptron unitaries validated against ``arch``: ``layers[l][j]`` is perceptron ``(l, j)``.
+
+    ``layers[l]`` is one read-only ``(m_l, d, d)`` stack copied from the caller's input.
+    """
 
     arch: Architecture
-    layers: tuple[tuple[np.ndarray, ...], ...]
+    layers: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         layers = _frozen_layers(self.arch, self.layers, "perceptron", _check_unitary)
@@ -296,13 +296,15 @@ def embed_network(
     ]
 
 
-def _apply_layer(
-    isometry: np.ndarray, rho_stack: np.ndarray, width_in: int, width_out: int
-) -> np.ndarray:
-    """``tr_in(W rho_v W^dagger)`` for a ``(V, d_in, d_in)`` stack; input qubits lead."""
-    d_in, d_out = 2**width_in, 2**width_out
-    left = (isometry @ rho_stack).reshape(len(rho_stack), d_in, d_out, d_in)
-    return np.einsum("vioc,ipc->vop", left, isometry.conj().reshape(d_in, d_out, d_in))
+def _apply_layer(block: np.ndarray, rho_stack: np.ndarray, width_out: int) -> np.ndarray:
+    """``tr_in(W rho_v W^dagger)`` for a ``(V, d_in, d_in)`` stack; ``W = block^T``, inputs lead.
+
+    ``rho_v^T block = (W rho_v)^T``, regrouped to ``(d_out, d_in**2)`` per vertex, meets
+    ``conj(block)`` regrouped to ``(d_in**2, d_out)`` in one batched product.
+    """
+    d_out = 2**width_out
+    left = (rho_stack.swapaxes(1, 2) @ block).reshape(len(rho_stack), -1, d_out)
+    return left.swapaxes(1, 2) @ block.conj().reshape(-1, d_out)
 
 
 def _corner_block(matrix: np.ndarray, keep_qubits: int, pad_qubits: int) -> np.ndarray:
@@ -319,8 +321,7 @@ def _forward_stack(
     inputs, outputs = [rho_stack], []
     for l in range(start_layer, arch.num_unitary_layers):
         width_in, width_out = arch.width_in(l), arch.width_out(l)
-        isometry = plan[l][1][-1].T  # W = B_m^T
-        outputs.append(_apply_layer(isometry, inputs[-1], width_in, width_out))
+        outputs.append(_apply_layer(plan[l][1][-1], inputs[-1], width_out))
         current = outputs[-1]
         if arch.is_residual(l):
             current = current.copy()

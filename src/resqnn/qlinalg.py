@@ -64,8 +64,9 @@ class NonHermitianError(ValueError):
 
 
 def _as_square_complex(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``matrix`` as complex128, checked to be a square matrix or a stack of them."""
     arr = np.asarray(matrix, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -101,7 +102,7 @@ class OperatorState:
 
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.matrix, "state matrix")
-        if arr.shape[0] != 2**self.num_qubits:
+        if arr.ndim != 2 or arr.shape[0] != 2**self.num_qubits:
             raise DimensionError(
                 f"state matrix has dimension {arr.shape[0]}, expected "
                 f"{2 ** self.num_qubits} for {self.num_qubits} qubits"
@@ -172,16 +173,18 @@ def random_pure_state(num_qubits: int, rng: np.random.Generator) -> PureState:
 def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Unitary ``exp(i * scale * k)`` for Hermitian ``k``, via eigendecomposition.
 
-    Raises :class:`NonHermitianError` if ``k`` is not Hermitian within
+    ``k`` is one ``(d, d)`` matrix or a ``(..., d, d)`` stack of them, which
+    takes one ``eigh`` call and gives the stack of exponentials. Raises
+    :class:`NonHermitianError` if any matrix is not Hermitian within
     ``HERMITIAN_TOL`` — callers are expected to feed genuine generators.
     """
     arr = _as_square_complex(k, "generator")
-    defect = np.abs(arr - arr.conj().T).max()
+    defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max()
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(f"generator deviates from Hermiticity by {defect:.3e}")
     eigvals, eigvecs = np.linalg.eigh(arr)
     phases = np.exp(1j * scale * eigvals)
-    return (eigvecs * phases) @ eigvecs.conj().T
+    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=8)

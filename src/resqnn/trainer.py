@@ -120,18 +120,20 @@ PLATEAU_TOL = 1e-7
 PLATEAU_WINDOW = 20
 
 
-def _check_hermitian(mat: np.ndarray, where: str) -> None:
-    defect = np.abs(mat - mat.conj().T).max()
-    if defect > HERMITIAN_TOL * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"{where} deviates from Hermiticity by {defect:.3e}")
+def _check_hermitian(stack: np.ndarray, where: str) -> None:
+    defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    limits = HERMITIAN_TOL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+    j = np.argmax(defects > limits)  # the first failing generator, if any
+    if defects[j] > limits[j]:
+        raise ValueError(f"{where.format(j)} deviates from Hermiticity by {defects[j]:.3e}")
 
 
 @dataclass(frozen=True)
 class UpdateGenerators:
-    """One Hermitian generator per perceptron, mirroring ``LayerUnitaries``."""
+    """One Hermitian generator per perceptron, stacked per layer as in ``LayerUnitaries``."""
 
     arch: Architecture
-    layers: tuple[tuple[np.ndarray, ...], ...]
+    layers: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         layers = _frozen_layers(self.arch, self.layers, "generator", _check_hermitian)
@@ -239,7 +241,8 @@ def _vertex_generators(
                 right = _from_perceptron(local @ perceptrons[p], width_in, width_out, p)
         # Both operators are Hermitian, so [fwd, back] = X - X^dagger with
         # X = fwd @ back, and the partial trace commutes with the dagger.
-        layers[l] = tuple(eta * 2.0**width_in * (1j * (h - h.conj().T)) for h in halves)
+        halves = np.stack(halves)
+        layers[l] = eta * 2.0**width_in * (1j * (halves - halves.conj().swapaxes(1, 2)))
         pulled = pulled_left @ blocks[-1].T
         if arch.is_residual(l):
             pulled += _corner_block(back, width_in, arch.delta_m(l))
@@ -301,10 +304,7 @@ def k_full(
         return supervised
     if graph.arch != supervised.arch:
         raise ArchitectureError("supervised and graph generators disagree on architecture")
-    layers = tuple(
-        tuple(ks + gamma * kg for ks, kg in zip(ls, lg))
-        for ls, lg in zip(supervised.layers, graph.layers)
-    )
+    layers = tuple(ks + gamma * kg for ks, kg in zip(supervised.layers, graph.layers))
     return UpdateGenerators(supervised.arch, layers)
 
 
@@ -389,12 +389,11 @@ def k_numeric_oracle(
 def update_step(
     unitaries: LayerUnitaries, generators: UpdateGenerators, epsilon: float
 ) -> LayerUnitaries:
-    """Rotate every perceptron: ``U <- exp(i * epsilon * K) @ U``."""
+    """Rotate every perceptron: ``U <- exp(i * epsilon * K) @ U``, one ``exp`` call per layer."""
     if generators.arch != unitaries.arch:
         raise ArchitectureError("generators do not match the unitaries' architecture")
     layers = tuple(
-        tuple(exp_i_hermitian(k, epsilon) @ u for u, k in zip(us, ks))
-        for us, ks in zip(unitaries.layers, generators.layers)
+        exp_i_hermitian(ks, epsilon) @ us for us, ks in zip(unitaries.layers, generators.layers)
     )
     return LayerUnitaries(unitaries.arch, layers)
 

@@ -244,6 +244,20 @@ class TestSweep:
                     "--values", "0", "--seeds", 3, "--epochs", 1) == 2
         assert "2 seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "vary, values",
+        [("gamma", ["-0.5", "-0.5"]), ("arch", ["2,~3,2", "2, ~3, 2"])],
+    )
+    def test_equivalent_values_rejected_before_any_output(
+        self, tmp_path, capsys, vary, values
+    ):
+        out = tmp_path / "dup"
+        assert _run("sweep", "--out", out, "--vary", vary, "--values", *values,
+                    "--seeds", 0, 1, "--epochs", 1, "--vertices", 4,
+                    "--supervised", 2) == 2
+        assert "are the same" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_cells_recorded_and_partial_results_kept(self, tmp_path, capsys):
         # "2,~1,2" narrows a hidden layer, so its cells fail while the valid
         # variant's results are preserved.

@@ -188,6 +188,24 @@ class TestUnitaries:
         with pytest.raises(ArchitectureError):
             LayerUnitaries(arch, ((np.eye(4), np.eye(4)),))
 
+    def test_non_unitary_perceptron_is_named_by_index(self):
+        arch = arch_from_string("2,~3,~3,2")
+        layers = [list(layer) for layer in init_unitaries(arch, np.random.default_rng(3)).layers]
+        layers[1][2] = 1.001 * layers[1][2]
+        with pytest.raises(ArchitectureError, match=re.escape("perceptron (1,2) deviates")):
+            LayerUnitaries(arch, tuple(tuple(layer) for layer in layers))
+
+    def test_layers_are_read_only_copies(self):
+        arch = arch_from_string("2,~3,2")
+        drawn = init_unitaries(arch, np.random.default_rng(4))
+        given_layers = [np.array(layer) for layer in drawn.layers]
+        unis = LayerUnitaries(arch, tuple(given_layers))
+        assert [layer.shape for layer in unis.layers] == [(3, 8, 8), (2, 16, 16)]
+        with pytest.raises(ValueError):
+            unis.layers[0][1, 0, 0] = 0.0
+        given_layers[0][1] = np.eye(8)
+        np.testing.assert_array_equal(unis.layers[0], drawn.layers[0])
+
 
 def single_layer_output(perceptrons, width_in, width_out, rho):
     """Output of a one-layer net (no hidden layers) with the given perceptrons."""

@@ -214,6 +214,21 @@ class TestExponential:
         with pytest.raises(NonHermitianError):
             exp_i_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_stack_matches_each_matrix(self):
+        rng = rng_from(11)
+        stack = np.stack([oracles.random_hermitian(3, rng) for _ in range(3)])
+        got = exp_i_hermitian(stack, 0.7)
+        assert got.shape == (3, 8, 8)
+        for k, u in zip(stack, got):
+            np.testing.assert_allclose(u, exp_i_hermitian(k, 0.7), rtol=0, atol=1e-14)
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        rng = rng_from(12)
+        stack = np.stack([oracles.random_hermitian(3, rng) for _ in range(3)])
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(NonHermitianError):
+            exp_i_hermitian(stack)
+
 
 class TestDistances:
     def test_hs_distance_orthogonal_pure_states(self):

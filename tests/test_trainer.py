@@ -369,6 +369,24 @@ class TestUpdateStep:
         with pytest.raises(ArchitectureError):
             UpdateGenerators(arch, (k.layers[0],))
 
+    def test_non_hermitian_generator_is_named_by_index(self):
+        arch, ds, uni, emb, recs = _setup("2,~3,2", 25)
+        k = _analytic_full(arch, ds, uni, emb, recs, gamma=0.0)
+        bad = [np.array(layer) for layer in k.layers]
+        bad[0][1] = bad[0][1] + 1j * np.eye(bad[0].shape[-1])
+        with pytest.raises(ValueError, match=r"generator \(0,1\) deviates from Hermiticity"):
+            UpdateGenerators(arch, tuple(bad))
+
+    def test_generator_layers_are_read_only_copies(self):
+        arch, ds, uni, emb, recs = _setup("2,~3,2", 25)
+        k = _analytic_full(arch, ds, uni, emb, recs, gamma=0.0)
+        given_layers = [np.array(layer) for layer in k.layers]
+        copied = UpdateGenerators(arch, tuple(given_layers))
+        with pytest.raises(ValueError):
+            copied.layers[1][0, 0, 0] = 1.0
+        given_layers[1][0] = 0.0
+        np.testing.assert_array_equal(copied.layers[1], k.layers[1])
+
     def test_final_states_keep_shortcut_trace(self):
         arch = arch_from_string("2,~3,~3,2")
         spec = build_graph_spec("line", 4, 2)
