@@ -91,12 +91,10 @@ class ExperimentConfig:
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"duplicate seeds in {seeds}")
         object.__setattr__(self, "seeds", seeds)
-        # Remaining numeric fields are validated where they are consumed
-        # (TrainingConfig, build_graph_spec, generate_dataset); validate the
-        # blend weight here because gen-data never reaches TrainingConfig, and
-        # the graph size so that an oversized graph writes no output directory.
-        if self.gamma > 0:
-            raise ValueError(f"gamma must be non-positive, got {self.gamma}")
+        # Bad training, delta or graph settings are rejected before any output is written.
+        self.training_config(seeds[0])
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         check_graph_size(self.topology, self.num_vertices)
 
     def training_config(self, seed: int) -> TrainingConfig:

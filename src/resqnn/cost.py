@@ -32,34 +32,25 @@ __all__ = [
 _SPREAD_CHUNK_BYTES = 2**22
 
 
-def _mean_fidelity(
-    finals: np.ndarray, targets: Sequence[PureState], residual_count: int
-) -> float:
-    """Mean ``<phi_v| rho_v |phi_v>`` over a ``(V, d, d)`` stack, rescaled by ``2**t``.
-
-    NaN when there are no pairs.
-    """
-    if not targets:
+def _mean_fidelity(finals: np.ndarray, amps: np.ndarray, residual_count: int) -> float:
+    """Mean ``<phi_v|rho_v|phi_v> / 2**t`` of ``(V, d, d)`` outputs, ``(V, d)`` targets; or NaN."""
+    if not len(amps):
         return float("nan")
-    amps = np.stack([phi.amplitudes for phi in targets])
     overlaps = np.einsum("vi,vij,vj->v", amps.conj(), finals, amps).real
-    return float(overlaps.sum()) / (2.0**residual_count * len(targets))
+    return float(overlaps.sum()) / (2.0**residual_count * len(amps))
 
 
 def _matched_stack(
     outputs: Sequence[OperatorState], targets: Sequence[PureState]
-) -> np.ndarray:
-    """The outputs' matrices as one stack, checked against their targets pair by pair."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs' matrices and the targets' amplitudes as stacks, checked pair by pair."""
     if len(outputs) != len(targets):
-        raise DimensionError(
-            f"{len(outputs)} outputs vs {len(targets)} targets"
-        )
+        raise DimensionError(f"{len(outputs)} outputs vs {len(targets)} targets")
     for phi, rho in zip(targets, outputs):
         if phi.num_qubits != rho.num_qubits:
-            raise DimensionError(
-                f"target has {phi.num_qubits} qubits, state has {rho.num_qubits}"
-            )
-    return np.array([rho.matrix for rho in outputs])
+            raise DimensionError(f"target has {phi.num_qubits} qubits, state has {rho.num_qubits}")
+    amps = np.array([phi.amplitudes for phi in targets])
+    return np.array([rho.matrix for rho in outputs]), amps
 
 
 def cost_supervised(
@@ -68,22 +59,22 @@ def cost_supervised(
     """Mean target overlap of the supervised vertices, rescaled to [0, 1]."""
     if not outputs:
         raise ValueError("supervised cost needs at least one output/target pair")
-    return _mean_fidelity(_matched_stack(outputs, targets), targets, residual_count)
+    return _mean_fidelity(*_matched_stack(outputs, targets), residual_count)
 
 
 def cost_test(
     outputs: Sequence[OperatorState], targets: Sequence[PureState], residual_count: int
 ) -> float:
     """Mean target overlap of the held-out vertices (NaN if there are none)."""
-    return _mean_fidelity(_matched_stack(outputs, targets), targets, residual_count)
+    return _mean_fidelity(*_matched_stack(outputs, targets), residual_count)
 
 
-def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Validated edge weights: symmetric, built from the upper triangle, zero diagonal.
+def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> tuple:
+    """Rows, columns and weights of the edges ``v < w`` of a validated, symmetric adjacency.
 
-    Both graph consumers (the cost here and the trainer's Laplacian seeds)
-    read the adjacency through this one check, so they agree on which pairs
-    count; self-loops carry no spread and are ignored.
+    Both graph consumers (the cost here and the trainer's Laplacian seeds) read the
+    adjacency through this one check, so they agree on which pairs count; self-loops
+    carry no spread and are ignored. A ``GraphDataset`` runs it once.
     """
     adj = np.asarray(adjacency, dtype=float)
     if adj.shape != (num_vertices, num_vertices):
@@ -94,21 +85,29 @@ def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> np.ndarray:
         raise ValueError("adjacency matrix contains non-finite entries")
     if adj.size and np.abs(adj - adj.T).max() > 1e-12:
         raise ValueError("adjacency matrix must be symmetric")
-    upper = np.triu(adj, 1)
-    return upper + upper.T
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    return rows, cols, adj[rows, cols]
+
+
+def _laplacian(edges: tuple, num_vertices: int) -> np.ndarray:
+    """Graph Laplacian ``L = D - A`` of the :func:`_neighbor_weights` edges."""
+    rows, cols, weights = edges
+    adj = np.zeros((num_vertices, num_vertices))
+    adj[rows, cols] = adj[cols, rows] = weights
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 def cost_graph(
     outputs: Sequence[OperatorState], adjacency: np.ndarray, residual_count: int
 ) -> float:
     """Adjacency-weighted Hilbert-Schmidt spread over ordered vertex pairs."""
-    adj = _neighbor_weights(adjacency, len(outputs))
-    return _graph_spread(np.array([out.matrix for out in outputs]), adj, residual_count)
+    neighbors = _neighbor_weights(adjacency, len(outputs))
+    return _graph_spread(np.array([out.matrix for out in outputs]), neighbors, residual_count)
 
 
-def _graph_spread(finals: np.ndarray, weights: np.ndarray, residual_count: int) -> float:
-    """:func:`cost_graph` of a ``(V, d, d)`` stack under ``_neighbor_weights`` weights."""
-    rows, cols = np.nonzero(np.triu(weights))
+def _graph_spread(finals: np.ndarray, neighbors: tuple, residual_count: int) -> float:
+    """:func:`cost_graph` of a ``(V, d, d)`` stack over its :func:`_neighbor_weights` edges."""
+    rows, cols, weights = neighbors
     if rows.size == 0:
         return 0.0
     # A chunk holds two gathered outputs, their difference and its conjugate per edge.
@@ -119,7 +118,7 @@ def _graph_spread(finals: np.ndarray, weights: np.ndarray, residual_count: int) 
         diff = finals[rows[edges]] - finals[cols[edges]]
         # ||d||_F^2 equals tr(d @ d) for Hermitian d and is exactly 0 when d is.
         spread[edges] = np.einsum("eij,eij->e", diff, diff.conj()).real
-    return 2.0 * float(weights[rows, cols] @ spread) / 2.0**residual_count
+    return 2.0 * float(weights @ spread) / 2.0**residual_count
 
 
 def cost_full(c_supervised: float, c_graph: float, gamma: float) -> float:

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cost import _laplacian, _neighbor_weights
 from .qlinalg import (
     MAX_DENSE_BYTES,
     DimensionError,
@@ -243,11 +244,10 @@ class GraphDataset:
 
     def target_for(self, vertex: int) -> PureState:
         """Hidden label: the target unitary applied to the vertex's input."""
-        psi = self.inputs[vertex]
-        return PureState(self.target_unitary @ psi.amplitudes, psi.num_qubits)
+        return PureState(self.target_amplitudes[vertex], self.input_qubits)
 
     # The dataset is frozen, so the states and matrices training reads every
-    # epoch are built once, on first use.
+    # epoch are built once, on first use; the arrays are read-only.
     @cached_property
     def supervised_targets(self) -> tuple[PureState, ...]:
         return tuple(self.target_for(v) for v in self.spec.supervised_indices)
@@ -257,11 +257,29 @@ class GraphDataset:
         return tuple(self.target_for(v) for v in self.spec.test_indices)
 
     @cached_property
+    def target_amplitudes(self) -> np.ndarray:
+        """``(V, 2**input_qubits)`` stack of every vertex's hidden label."""
+        return _read_only(np.array([self.target_unitary @ psi.amplitudes for psi in self.inputs]))
+
+    @cached_property
     def adjacency(self) -> np.ndarray:
-        """Read-only weighted adjacency matrix of the graph."""
-        adj = adjacency_matrix(self.spec)
-        adj.setflags(write=False)
-        return adj
+        """Weighted adjacency matrix of the graph."""
+        return _read_only(adjacency_matrix(self.spec))
+
+    @cached_property
+    def neighbor_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and weights of the edges ``v < w`` (``cost._neighbor_weights``)."""
+        return tuple(map(_read_only, _neighbor_weights(self.adjacency, self.spec.num_vertices)))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """Graph Laplacian ``D - A`` of :attr:`neighbor_weights`."""
+        return _read_only(_laplacian(self.neighbor_weights, self.spec.num_vertices))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _interpolated_line_states(
@@ -305,8 +323,8 @@ def generate_dataset(
     Deterministic in ``seed``; the stream is independent of any seed used for
     network initialization (sub-key 0 is reserved for data).
     """
-    if delta <= 0:
-        raise ValueError(f"closeness scale delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"closeness scale delta must be positive and finite, got {delta}")
     rng = np.random.default_rng([seed, 0])
     if spec.topology == "line":
         states = _interpolated_line_states(spec.num_vertices, input_qubits, rng)

@@ -19,6 +19,7 @@ Plain ``numpy.ndarray`` is used for everything without state semantics
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -171,20 +172,43 @@ def random_pure_state(num_qubits: int, rng: np.random.Generator) -> PureState:
 
 
 def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Unitary ``exp(i * scale * k)`` for Hermitian ``k``, via eigendecomposition.
+    """Unitary ``exp(i * scale * k)`` for Hermitian ``k`` or a ``(..., d, d)`` stack of them.
 
-    ``k`` is one ``(d, d)`` matrix or a ``(..., d, d)`` stack of them, which
-    takes one ``eigh`` call and gives the stack of exponentials. Raises
-    :class:`NonHermitianError` if any matrix is not Hermitian within
-    ``HERMITIAN_TOL`` — callers are expected to feed genuine generators.
+    ``A = i * scale * k`` is halved ``s`` times, until its largest 1-norm ``x`` in the
+    stack is at most 1, enters the Taylor polynomial of the lowest degree ``m`` whose
+    remainder bound ``x**(m+1) / (m+1)! * e**x`` is at most ``2**-53``, and is squared
+    back: about ``2 * sqrt(m) + s`` batched products (Paterson-Stockmeyer), exact to
+    about ``2**s`` roundoffs. Raises :class:`NonHermitianError` if a matrix is not
+    Hermitian within ``HERMITIAN_TOL``, ``ValueError`` if ``scale * k`` is not finite.
     """
     arr = _as_square_complex(k, "generator")
     defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max()
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(f"generator deviates from Hermiticity by {defect:.3e}")
-    eigvals, eigvecs = np.linalg.eigh(arr)
-    phases = np.exp(1j * scale * eigvals)
-    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+    norm = abs(float(scale)) * float(np.abs(arr).sum(axis=-2).max())
+    if not math.isfinite(norm):
+        raise ValueError(f"scale {scale} times the generator is not finite")
+    squarings = math.ceil(math.log2(norm)) if norm > 1 else 0
+    x = norm / 2.0**squarings
+    degree = next(
+        m for m in range(19) if x ** (m + 1) * math.exp(x) <= 2.0**-53 * math.factorial(m + 1)
+    )
+    # p(A) = sum_j C_j (A^q)^j by Horner in A^q, each block C_j = sum_i c_{jq+i} A^i.
+    q = math.ceil(math.sqrt(degree)) or 1
+    coeffs = np.zeros((degree // q + 1) * q)
+    coeffs[: degree + 1] = [1.0 / math.factorial(n) for n in range(degree + 1)]
+    powers = np.empty((q + 1,) + arr.shape, dtype=np.complex128)
+    powers[0] = np.eye(arr.shape[-1])
+    np.multiply(arr, 1j * scale / 2.0**squarings, out=powers[1])
+    for j in range(2, q + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    blocks = (coeffs.reshape(-1, q) @ powers[:q].reshape(q, -1)).reshape((-1,) + arr.shape)
+    u = blocks[-1]
+    for block in blocks[-2::-1]:
+        u = u @ powers[q] + block
+    for _ in range(squarings):
+        u = u @ u
+    return u
 
 
 @lru_cache(maxsize=8)
@@ -205,6 +229,8 @@ def pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
     Hermitian iff all coefficients are real (they are returned complex).
     """
     arr = _as_square_complex(matrix)
+    if arr.ndim != 2:
+        raise DimensionError(f"matrix must be 2-D, got shape {arr.shape}")
     n = _qubit_count(arr.shape[0])
     stack = _pauli_stack(n)
     return np.einsum("aij,ji->a", stack, arr) / arr.shape[0]

@@ -74,6 +74,7 @@ import numpy as np
 from .cost import (
     CostReport,
     _graph_spread,
+    _laplacian,
     _mean_fidelity,
     _neighbor_weights,
     cost_full,
@@ -152,10 +153,10 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.gamma > 0:
-            raise ValueError(f"gamma must be non-positive, got {self.gamma}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not -np.inf < self.gamma <= 0:
+            raise ValueError(f"gamma must be non-positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -181,27 +182,16 @@ class TrainingTrace:
 
 
 def _vertex_seeds(
-    finals: np.ndarray,
-    supervised: Sequence[int],
-    targets: Sequence[PureState],
-    gamma: float,
-    adjacency: np.ndarray | None,
+    finals: np.ndarray, supervised: Sequence[int], amps: np.ndarray, gamma: float,
+    laplacian: np.ndarray | None,
 ) -> np.ndarray:
-    """Per-vertex backward seeds ``[v in S]/|S| |phi_v><phi_v| + 2 gamma (L rho^out)_v``."""
+    """Seeds ``[v in S]/|S| |phi_v><phi_v| + 2 gamma (L rho)_v``; ``amps`` holds the ``phi_v``."""
     if gamma == 0.0:
         seeds = np.zeros_like(finals)
     else:
-        seeds = 2.0 * gamma * _laplacian_seeds(finals, adjacency)
-    for v, phi in zip(supervised, targets):
-        seeds[v] += np.outer(phi.amplitudes, phi.amplitudes.conj()) / len(targets)
+        seeds = 2.0 * gamma * np.tensordot(laplacian, finals, axes=1)
+    seeds[list(supervised)] += amps[:, :, None] * amps[:, None, :].conj() / len(amps)
     return seeds
-
-
-def _laplacian_seeds(finals: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
-    """``sum_w L_vw rho_w^out`` for every vertex ``v``, with ``L = D - A``."""
-    adj = _neighbor_weights(adjacency, len(finals))
-    laplacian = np.diag(adj.sum(axis=1)) - adj
-    return np.tensordot(laplacian, finals, axes=1)
 
 
 def _record_stacks(records: Sequence[ForwardRecord]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -266,7 +256,8 @@ def supervised_generators(
     if embedded is None:
         embedded = embed_network(arch, unitaries)
     inputs, finals = _record_stacks(records)
-    seeds = _vertex_seeds(finals, range(len(records)), targets, 0.0, None)
+    amps = np.array([phi.amplitudes for phi in targets])
+    seeds = _vertex_seeds(finals, range(len(records)), amps, 0.0, None)
     return _vertex_generators(arch, embedded, inputs, seeds, eta)
 
 
@@ -284,7 +275,8 @@ def graph_generators(
     between adjacent vertices.
     """
     inputs, finals = _record_stacks(records)
-    seeds = _laplacian_seeds(finals, adjacency)
+    laplacian = _laplacian(_neighbor_weights(adjacency, len(finals)), len(finals))
+    seeds = np.tensordot(laplacian, finals, axes=1)
     if embedded is None:
         embedded = embed_network(arch, unitaries)
     return _vertex_generators(arch, embedded, inputs, seeds, 2.0 * eta)
@@ -403,9 +395,9 @@ def _cost_report(
 ) -> CostReport:
     t = arch.residual_count
     sup, test = list(dataset.spec.supervised_indices), list(dataset.spec.test_indices)
-    c_sv = _mean_fidelity(finals[sup], dataset.supervised_targets, t)
-    c_g = _graph_spread(finals, _neighbor_weights(dataset.adjacency, len(finals)), t)
-    c_t = _mean_fidelity(finals[test], dataset.test_targets, t)
+    c_sv = _mean_fidelity(finals[sup], dataset.target_amplitudes[sup], t)
+    c_g = _graph_spread(finals, dataset.neighbor_weights, t)
+    c_t = _mean_fidelity(finals[test], dataset.target_amplitudes[test], t)
     return CostReport(c_sv=c_sv, c_g=c_g, c_full=cost_full(c_sv, c_g, gamma), c_test=c_t)
 
 
@@ -418,13 +410,9 @@ def _analytic_generators(
     plan: list,
 ) -> UpdateGenerators:
     """``k_full`` of both cost terms from one backward sweep over all vertices."""
-    seeds = _vertex_seeds(
-        finals,
-        dataset.spec.supervised_indices,
-        dataset.supervised_targets,
-        config.gamma,
-        dataset.adjacency,
-    )
+    sup = list(dataset.spec.supervised_indices)
+    laplacian = dataset.laplacian if config.gamma else None
+    seeds = _vertex_seeds(finals, sup, dataset.target_amplitudes[sup], config.gamma, laplacian)
     return _vertex_generators(arch, plan, inputs, seeds, 1.0)
 
 

@@ -56,6 +56,17 @@ def expm_taylor(k: np.ndarray, scale: float = 1.0, terms: int = 60) -> np.ndarra
     return acc
 
 
+def exp_i_hermitian_eigh(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """exp(i * scale * k) of a Hermitian (..., d, d) stack by eigendecomposition.
+
+    The replaced ``qlinalg.exp_i_hermitian``: one batched ``eigh``, then
+    ``V diag(exp(i * scale * w)) V^dagger``.
+    """
+    eigvals, eigvecs = np.linalg.eigh(k)
+    phases = np.exp(1j * scale * eigvals)
+    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+
+
 def embed_bruteforce(op: np.ndarray, targets: list[int], num_qubits: int) -> np.ndarray:
     """Entry-by-entry embedding of ``op`` acting on ``targets``."""
     dim = 2**num_qubits

@@ -41,6 +41,10 @@ class TestExperimentConfig:
             ExperimentConfig(seeds=())
         with pytest.raises(ValueError, match="duplicate"):
             ExperimentConfig(seeds=(1, 1))
+        for field in ("gamma", "epsilon", "delta"):
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=field):
+                    ExperimentConfig(**{field: bad})
 
     def test_as_dict_round_trips_through_json(self):
         cfg = ExperimentConfig(gamma=-0.5, seeds=(3, 4), epochs=7)
@@ -179,6 +183,16 @@ class TestTrain:
             assert _run(command, "--topology", "connected_clusters", "--vertices", 40,
                         "--out", tmp_path / "r") == 2
             assert "40 vertices (381 edges)" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--epsilon", "inf"), ("--epsilon", "nan"), ("--gamma", "nan"),
+                       ("--gamma", "-inf"), ("--delta", "nan")]
+    )
+    def test_non_finite_setting_exits_before_any_output(self, tmp_path, capsys, flag, value):
+        for command in ("gen-data", "train"):
+            assert _run(command, f"{flag}={value}", "--epochs", 2, "--out", tmp_path / "r") == 2
+            assert flag[2:] in capsys.readouterr().err
             assert not (tmp_path / "r").exists()
 
 

@@ -160,13 +160,14 @@ class TestArrayKernels:
         ]
         targets = [random_pure_state(q, rng) for _ in range(n)]
         finals = np.stack([out.matrix for out in outputs])
+        amps = np.stack([phi.amplitudes for phi in targets])
         sup = [0, 3]
         sup_targets = [targets[v] for v in sup]
-        assert cost._mean_fidelity(finals[sup], sup_targets, t) == cost_supervised(
+        assert cost._mean_fidelity(finals[sup], amps[sup], t) == cost_supervised(
             [outputs[v] for v in sup], sup_targets, t
         )
-        assert cost._mean_fidelity(finals, targets, t) == cost_test(outputs, targets, t)
-        assert np.isnan(cost._mean_fidelity(finals[[]], [], t))
+        assert cost._mean_fidelity(finals, amps, t) == cost_test(outputs, targets, t)
+        assert np.isnan(cost._mean_fidelity(finals[[]], amps[[]], t))
         upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
         adjacency = upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n))
         spread = cost._graph_spread(finals, cost._neighbor_weights(adjacency, n), t)

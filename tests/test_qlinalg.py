@@ -222,6 +222,50 @@ class TestExponential:
         for k, u in zip(stack, got):
             np.testing.assert_allclose(u, exp_i_hermitian(k, 0.7), rtol=0, atol=1e-14)
 
+    @staticmethod
+    def _stack_at_norm(seed, count, qubits, norm):
+        """``count`` random Hermitians on ``qubits``, and the scale giving them 1-norm ``norm``."""
+        rng = rng_from(seed)
+        k = np.stack([oracles.random_hermitian(qubits, rng) for _ in range(count)])
+        return k, norm / np.abs(k).sum(axis=-2).max()
+
+    @given(seed=seeds, count=st.integers(1, 6), qubits=st.integers(1, 5),
+           log_norm=st.floats(-8.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_eigendecomposition(self, seed, count, qubits, log_norm):
+        # The replaced eigh implementation is the reference across the
+        # squaring range: no squaring below norm 1, ten at 1e3.
+        k, scale = self._stack_at_norm(seed, count, qubits, 10.0**log_norm)
+        got = exp_i_hermitian(k, scale)
+        want = oracles.exp_i_hermitian_eigh(k, scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        unitarity = got @ got.conj().swapaxes(-1, -2) - np.eye(2**qubits)
+        assert np.abs(unitarity).max() <= 1e-12
+
+    @pytest.mark.parametrize("qubits", [1, 3, 5])
+    def test_huge_norm_stays_accurate(self, qubits):
+        # Twenty squarings: the roundoff grows with 2**s but stays far below 1e-9.
+        k, scale = self._stack_at_norm(qubits, 3, qubits, 1e6)
+        got = exp_i_hermitian(k, scale)
+        want = oracles.exp_i_hermitian_eigh(k, scale)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        unitarity = got @ got.conj().swapaxes(-1, -2) - np.eye(2**qubits)
+        assert np.abs(unitarity).max() <= 1e-9
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.1, 0.5, 0.999, 1.0, 1.9, 3.0])
+    def test_series_is_exact_to_roundoff(self, theta):
+        # Products of Paulis square to I, so exp(i theta P) = cos(theta) I + i sin(theta) P
+        # exactly; the truncation must not show above roundoff at any degree.
+        stack = np.stack([np.kron(qla.PAULI_X, qla.PAULI_Y), np.kron(qla.PAULI_Z, qla.PAULI_I)])
+        want = np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * stack
+        np.testing.assert_allclose(exp_i_hermitian(stack, theta), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_scale(self, scale):
+        for k in (qla.PAULI_X, np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="not finite"):
+                exp_i_hermitian(k, scale)
+
     def test_stack_rejects_one_non_hermitian_member(self):
         rng = rng_from(12)
         stack = np.stack([oracles.random_hermitian(3, rng) for _ in range(3)])
@@ -280,6 +324,10 @@ class TestPauliBasis:
         assert np.abs(coeffs.imag).max() <= 1e-10
         rebuilt = sum(c * p for c, p in zip(coeffs, pauli_products(n)))
         np.testing.assert_allclose(rebuilt, h, atol=1e-10)
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionError):
+            pauli_coefficients(np.zeros((2, 4, 4)))
 
     def test_coefficients_of_basis_element(self):
         coeffs = pauli_coefficients(np.kron(qla.PAULI_X, qla.PAULI_Z))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from resqnn import trainer
+from resqnn import cost, graphdata, trainer
 from resqnn.cost import cost_full, cost_graph, cost_supervised
 from resqnn.graphdata import adjacency_matrix, build_graph_spec, generate_dataset
 from resqnn.netcore import (
@@ -494,8 +494,33 @@ class TestTrainingLoop:
             TrainingConfig(epochs=1, epsilon=-0.1)
         with pytest.raises(ValueError, match="gamma"):
             TrainingConfig(epochs=1, gamma=0.5)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                TrainingConfig(epochs=1, epsilon=bad)
+            with pytest.raises(ValueError, match="gamma"):
+                TrainingConfig(epochs=1, gamma=-bad)
         with pytest.raises(ValueError, match="non-positive"):
             k_full(None, None, gamma=0.5)  # gamma checked before operands
+
+    def test_graph_is_validated_once_per_dataset(self, monkeypatch):
+        # Epochs read the dataset's cached graph constants; only the first use
+        # runs the adjacency check, wherever it is called from.
+        calls = []
+        original = cost._neighbor_weights
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (cost, graphdata, trainer):
+            if hasattr(module, "_neighbor_weights"):
+                monkeypatch.setattr(module, "_neighbor_weights", counted)
+        arch = arch_from_string("2,~3,2")
+        ds = generate_dataset(build_graph_spec("line", 6, 2), 2, seed=35)
+        train(arch, ds, TrainingConfig(epochs=5, seed=35, gamma=-0.5))
+        assert len(calls) == 1
+        train(arch, ds, TrainingConfig(epochs=5, seed=36, gamma=-0.5))
+        assert len(calls) == 1
 
     def test_trace_dataclass_shape(self):
         arch = arch_from_string("2,~3,2")
