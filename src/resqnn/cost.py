@@ -1,5 +1,8 @@
 """Cost functions: supervised fidelity, graph smoothness, and their blend.
 
+Training and the finite-difference oracle score ``(V, d, d)`` output stacks
+through the same two kernels: a target fidelity mean and an edge-list sum.
+
 All costs divide by ``2**residual_count`` so that a network whose carried
 trace was inflated by ``t`` shortcut additions is still scored on a 0-to-1
 fidelity scale. The graph term sums over *ordered* vertex pairs weighted by
@@ -13,21 +16,14 @@ neighbors, which training should shrink).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .qlinalg import DimensionError, OperatorState, PureState
+from .qlinalg import DimensionError
 
-__all__ = [
-    "CostReport",
-    "cost_full",
-    "cost_graph",
-    "cost_supervised",
-    "cost_test",
-]
+__all__ = ["CostReport", "cost_full"]
 
-#: Bytes of per-edge temporaries ``cost_graph`` holds at once; edges beyond
+#: Bytes of per-edge temporaries ``_graph_spread`` holds at once; edges beyond
 #: that are summed in further chunks.
 _SPREAD_CHUNK_BYTES = 2**22
 
@@ -40,41 +36,12 @@ def _mean_fidelity(finals: np.ndarray, amps: np.ndarray, residual_count: int) ->
     return float(overlaps.sum()) / (2.0**residual_count * len(amps))
 
 
-def _matched_stack(
-    outputs: Sequence[OperatorState], targets: Sequence[PureState]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The outputs' matrices and the targets' amplitudes as stacks, checked pair by pair."""
-    if len(outputs) != len(targets):
-        raise DimensionError(f"{len(outputs)} outputs vs {len(targets)} targets")
-    for phi, rho in zip(targets, outputs):
-        if phi.num_qubits != rho.num_qubits:
-            raise DimensionError(f"target has {phi.num_qubits} qubits, state has {rho.num_qubits}")
-    amps = np.array([phi.amplitudes for phi in targets])
-    return np.array([rho.matrix for rho in outputs]), amps
-
-
-def cost_supervised(
-    outputs: Sequence[OperatorState], targets: Sequence[PureState], residual_count: int
-) -> float:
-    """Mean target overlap of the supervised vertices, rescaled to [0, 1]."""
-    if not outputs:
-        raise ValueError("supervised cost needs at least one output/target pair")
-    return _mean_fidelity(*_matched_stack(outputs, targets), residual_count)
-
-
-def cost_test(
-    outputs: Sequence[OperatorState], targets: Sequence[PureState], residual_count: int
-) -> float:
-    """Mean target overlap of the held-out vertices (NaN if there are none)."""
-    return _mean_fidelity(*_matched_stack(outputs, targets), residual_count)
-
-
 def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> tuple:
     """Rows, columns and weights of the edges ``v < w`` of a validated, symmetric adjacency.
 
-    Both graph consumers (the cost here and the trainer's Laplacian seeds) read the
-    adjacency through this one check, so they agree on which pairs count; self-loops
-    carry no spread and are ignored. A ``GraphDataset`` runs it once.
+    Only an adjacency from outside the dataset comes through this check (the one
+    ``trainer.graph_generators`` is given); self-loops carry no spread and are
+    ignored. A ``GraphDataset`` reads the same triple straight from its spec's edges.
     """
     adj = np.asarray(adjacency, dtype=float)
     if adj.shape != (num_vertices, num_vertices):
@@ -90,23 +57,17 @@ def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> tuple:
 
 
 def _laplacian(edges: tuple, num_vertices: int) -> np.ndarray:
-    """Graph Laplacian ``L = D - A`` of the :func:`_neighbor_weights` edges."""
+    """Graph Laplacian ``L = D - A`` of :func:`_neighbor_weights` edges, without a dense ``A``."""
     rows, cols, weights = edges
-    adj = np.zeros((num_vertices, num_vertices))
-    adj[rows, cols] = adj[cols, rows] = weights
-    return np.diag(adj.sum(axis=1)) - adj
-
-
-def cost_graph(
-    outputs: Sequence[OperatorState], adjacency: np.ndarray, residual_count: int
-) -> float:
-    """Adjacency-weighted Hilbert-Schmidt spread over ordered vertex pairs."""
-    neighbors = _neighbor_weights(adjacency, len(outputs))
-    return _graph_spread(np.array([out.matrix for out in outputs]), neighbors, residual_count)
+    lap = np.zeros((num_vertices, num_vertices))
+    lap[rows, cols] = lap[cols, rows] = -weights
+    degrees = np.bincount(rows, weights, num_vertices) + np.bincount(cols, weights, num_vertices)
+    np.fill_diagonal(lap, degrees)
+    return lap
 
 
 def _graph_spread(finals: np.ndarray, neighbors: tuple, residual_count: int) -> float:
-    """:func:`cost_graph` of a ``(V, d, d)`` stack over its :func:`_neighbor_weights` edges."""
+    """Hilbert-Schmidt spread of a ``(V, d, d)`` stack over both orders of ``neighbors`` edges."""
     rows, cols, weights = neighbors
     if rows.size == 0:
         return 0.0

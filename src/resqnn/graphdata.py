@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import _laplacian, _neighbor_weights
+from .cost import _laplacian
 from .qlinalg import (
     MAX_DENSE_BYTES,
     DimensionError,
@@ -140,7 +140,7 @@ def _cluster_edges(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def check_graph_size(topology: str, num_vertices: int, num_edges: int | None = None) -> None:
-    """Reject a graph whose edge list and adjacency matrix would exceed ``MAX_DENSE_BYTES``.
+    """Reject a graph whose edge list and one ``V x V`` matrix would exceed ``MAX_DENSE_BYTES``.
 
     ``num_edges`` defaults to the closed-form edge count of the ``line`` or
     ``connected_clusters`` topology, so nothing is built to take the estimate.
@@ -242,19 +242,12 @@ class GraphDataset:
         """Density matrix of one vertex's input state."""
         return self._input_densities[vertex]
 
-    def target_for(self, vertex: int) -> PureState:
-        """Hidden label: the target unitary applied to the vertex's input."""
-        return PureState(self.target_amplitudes[vertex], self.input_qubits)
-
     # The dataset is frozen, so the states and matrices training reads every
     # epoch are built once, on first use; the arrays are read-only.
     @cached_property
     def supervised_targets(self) -> tuple[PureState, ...]:
-        return tuple(self.target_for(v) for v in self.spec.supervised_indices)
-
-    @cached_property
-    def test_targets(self) -> tuple[PureState, ...]:
-        return tuple(self.target_for(v) for v in self.spec.test_indices)
+        amps = self.target_amplitudes
+        return tuple(PureState(amps[v], self.input_qubits) for v in self.spec.supervised_indices)
 
     @cached_property
     def target_amplitudes(self) -> np.ndarray:
@@ -268,8 +261,12 @@ class GraphDataset:
 
     @cached_property
     def neighbor_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and weights of the edges ``v < w`` (``cost._neighbor_weights``)."""
-        return tuple(map(_read_only, _neighbor_weights(self.adjacency, self.spec.num_vertices)))
+        """Rows, columns and unit weights of the edges ``v < w``, as ``cost._neighbor_weights``.
+
+        ``spec.edges`` are already sorted, unique, ``v < w`` pairs, so no adjacency is built.
+        """
+        pairs = np.array(self.spec.edges, dtype=np.intp).reshape(-1, 2).T.copy()
+        return tuple(map(_read_only, (pairs[0], pairs[1], np.ones(pairs.shape[1]))))
 
     @cached_property
     def laplacian(self) -> np.ndarray:

@@ -60,7 +60,10 @@ for every Pauli direction ``P`` of each perceptron. Pauli completeness
 ``GRAPH_GRADIENT_SCALE = 0.5`` reflects that the graph *cost* sums ordered
 pairs (each edge twice) while the graph *generator* sums each edge once; it
 was calibrated once against the oracle and is asserted stable by the test
-suite. At ``gamma = 0`` only the supervised vertices are re-run.
+suite. Each evaluation re-runs the vertices from the perturbed layer on through
+``forward`` and scores the stacked outputs with training's kernels,
+``cost._mean_fidelity`` and ``cost._graph_spread`` over the dataset's edge list.
+At ``gamma = 0`` only the supervised vertices are re-run.
 """
 
 from __future__ import annotations
@@ -78,8 +81,6 @@ from .cost import (
     _mean_fidelity,
     _neighbor_weights,
     cost_full,
-    cost_graph,
-    cost_supervised,
 )
 from .graphdata import GraphDataset
 from .netcore import (
@@ -326,11 +327,13 @@ def k_numeric_oracle(
         raise ValueError(f"gamma must be non-positive, got {gamma}")
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
+    sup = list(dataset.spec.supervised_indices)
+    if not sup:
+        raise ValueError("the oracle needs at least one supervised vertex")
     t = arch.residual_count
-    supervised = dataset.spec.supervised_indices
-    targets = list(dataset.supervised_targets)
-    all_vertices = range(dataset.spec.num_vertices)
-    vertices = all_vertices if gamma != 0.0 else supervised
+    amps = dataset.target_amplitudes[sup]
+    # At gamma = 0 only the supervised vertices are re-run, so they fill the stack.
+    vertices, sup_rows = (range(dataset.spec.num_vertices), sup) if gamma else (sup, slice(None))
     plan = embed_network(arch, unitaries)
     records = {
         v: forward(arch, unitaries, dataset.input_density(v), embedded=plan)
@@ -343,16 +346,16 @@ def k_numeric_oracle(
         perceptrons[p] = perceptron
         patched = list(plan)
         patched[layer] = _layer_plan(perceptrons, arch.width_in(layer), arch.width_out(layer))
-        finals = {
-            v: forward(
+        finals = np.stack([
+            forward(
                 arch, unitaries, records[v].layer_inputs[layer], embedded=patched,
                 start_layer=layer,
-            ).final
+            ).final.matrix
             for v in vertices
-        }
-        cost = cost_supervised([finals[v] for v in supervised], targets, t)
+        ])
+        cost = _mean_fidelity(finals[sup_rows], amps, t)
         if gamma != 0.0:
-            c_g = cost_graph([finals[v] for v in all_vertices], dataset.adjacency, t)
+            c_g = _graph_spread(finals, dataset.neighbor_weights, t)
             cost += gamma * GRAPH_GRADIENT_SCALE * c_g
         return cost
 

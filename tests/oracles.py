@@ -340,15 +340,15 @@ def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
     outputs, adds frequency 4. With ``D1 = C(pi/8) - C(-pi/8)`` and
     ``D2 = C(3pi/8) - C(-3pi/8)``, ``dC/dtheta = (D1 + D2)/sqrt(2) + (D1 - D2)``
     exactly. Assembled like ``k_numeric_oracle``: ``eta * 2**(t-1) * sum_P dC/dtheta_P P``.
-    Costs come from :func:`forward_reference`, not the production engine.
+    Outputs come from :func:`forward_reference`, not the production engine, and
+    are scored here and by :func:`cost_graph_pairs`, not by ``resqnn.cost``.
     """
-    from resqnn.cost import cost_graph, cost_supervised
     from resqnn.qlinalg import OperatorState, _pauli_stack
     from resqnn.trainer import GRAPH_GRADIENT_SCALE, UpdateGenerators
 
     t = arch.residual_count
     supervised = dataset.spec.supervised_indices
-    targets = list(dataset.supervised_targets)
+    targets = [dataset.target_unitary @ dataset.inputs[v].amplitudes for v in supervised]
     embedded = workspace_matrices(arch, unitaries)
     records = [
         forward_reference(arch, embedded, dataset.input_density(v).matrix)[0]
@@ -361,9 +361,12 @@ def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
                           arch.output_qubits)
             for ins in records
         ]
-        value = cost_supervised([finals[v] for v in supervised], targets, t)
+        overlaps = [
+            np.vdot(phi, finals[v].matrix @ phi).real for v, phi in zip(supervised, targets)
+        ]
+        value = sum(overlaps) / len(targets) / 2.0**t
         if gamma != 0.0:
-            value += gamma * GRAPH_GRADIENT_SCALE * cost_graph(finals, dataset.adjacency, t)
+            value += gamma * GRAPH_GRADIENT_SCALE * cost_graph_pairs(finals, dataset.adjacency, t)
         return value
 
     layers = []

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resqnn import cost
-from resqnn.cost import CostReport, cost_full, cost_graph, cost_supervised, cost_test
+from resqnn.cost import CostReport, cost_full
+from resqnn.graphdata import build_graph_spec, generate_dataset
 from resqnn.netcore import arch_from_string, forward, init_unitaries
 from resqnn.qlinalg import (
     DimensionError,
@@ -14,6 +15,7 @@ from resqnn.qlinalg import (
     PureState,
     random_pure_state,
 )
+from resqnn.trainer import graph_generators, k_numeric_oracle
 
 import oracles
 
@@ -26,12 +28,24 @@ def basis_state(index, num_qubits):
     return PureState(amp, num_qubits)
 
 
+def fidelity(outputs, targets, t):
+    """``cost._mean_fidelity`` of lists of states."""
+    finals = np.array([rho.matrix for rho in outputs])
+    return cost._mean_fidelity(finals, np.array([phi.amplitudes for phi in targets]), t)
+
+
+def spread(outputs, adjacency, t):
+    """``cost._graph_spread`` of a list of states over a checked adjacency's edges."""
+    finals = np.array([rho.matrix for rho in outputs])
+    return cost._graph_spread(finals, cost._neighbor_weights(adjacency, len(outputs)), t)
+
+
 class TestSupervised:
     def test_perfect_match_scores_one(self):
         rng = np.random.default_rng(0)
         targets = [random_pure_state(2, rng) for _ in range(3)]
         outputs = [t.density() for t in targets]
-        assert cost_supervised(outputs, targets, 0) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(outputs, targets, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_inflated_trace_rescaled(self):
         # After one shortcut the output has trace 2; a target-plus-orthogonal
@@ -39,10 +53,10 @@ class TestSupervised:
         phi = basis_state(0, 1)
         perp = basis_state(1, 1)
         inflated = OperatorState(phi.density().matrix + perp.density().matrix, 1)
-        assert cost_supervised([inflated], [phi], 1) == pytest.approx(0.5, abs=1e-12)
+        assert fidelity([inflated], [phi], 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_scores_zero(self):
-        assert cost_supervised([basis_state(1, 1).density()], [basis_state(0, 1)], 0) == 0.0
+        assert fidelity([basis_state(1, 1).density()], [basis_state(0, 1)], 0) == 0.0
 
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)
@@ -55,26 +69,32 @@ class TestSupervised:
             for _ in range(3)
         ]
         targets = [random_pure_state(arch.output_qubits, rng) for _ in range(3)]
-        value = cost_supervised(outputs, targets, arch.residual_count)
+        value = fidelity(outputs, targets, arch.residual_count)
         assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_pair_permutation_invariance(self):
         rng = np.random.default_rng(1)
         targets = [random_pure_state(1, rng) for _ in range(4)]
         outputs = [random_pure_state(1, rng).density() for _ in range(4)]
-        base = cost_supervised(outputs, targets, 0)
+        base = fidelity(outputs, targets, 0)
         perm = [2, 0, 3, 1]
-        shuffled = cost_supervised([outputs[i] for i in perm], [targets[i] for i in perm], 0)
+        shuffled = fidelity([outputs[i] for i in perm], [targets[i] for i in perm], 0)
         assert shuffled == pytest.approx(base, abs=1e-12)
 
     def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError):
-            cost_supervised([], [], 0)
+        # The kernel scores an empty set as NaN; the oracle, which needs a
+        # supervised term to differentiate, refuses one.
+        ds = generate_dataset(build_graph_spec("line", 3, 0), 1, seed=2)
+        arch = arch_from_string("1,1")
+        for gamma in (0.0, -0.5):
+            with pytest.raises(ValueError, match="supervised"):
+                k_numeric_oracle(arch, init_unitaries(arch, np.random.default_rng(2)), ds, gamma)
         rng = np.random.default_rng(2)
-        with pytest.raises(DimensionError):
-            cost_supervised([random_pure_state(1, rng).density()], [], 0)
-        with pytest.raises(DimensionError):
-            cost_supervised([random_pure_state(2, rng).density()], [random_pure_state(1, rng)], 0)
+        pair = [random_pure_state(1, rng) for _ in range(2)]
+        with pytest.raises(ValueError):
+            fidelity([phi.density() for phi in pair] + [pair[0].density()], pair, 0)
+        with pytest.raises(ValueError):
+            fidelity([random_pure_state(2, rng).density()], [random_pure_state(1, rng)], 0)
 
 
 class TestGraph:
@@ -83,31 +103,31 @@ class TestGraph:
         adjacency = np.array([[0, 1], [1, 0]], dtype=float)
         # Ordered-pair sum: the one undirected edge counts twice, each leg
         # contributing Hilbert-Schmidt distance 2.
-        assert cost_graph(outputs, adjacency, 0) == pytest.approx(4.0, abs=1e-12)
+        assert spread(outputs, adjacency, 0) == pytest.approx(4.0, abs=1e-12)
 
     def test_identical_outputs_score_zero(self):
         rng = np.random.default_rng(3)
         rho = random_pure_state(1, rng).density()
         adjacency = np.array([[0, 1], [1, 0]], dtype=float)
-        assert cost_graph([rho, rho], adjacency, 0) == pytest.approx(0.0, abs=1e-12)
+        assert spread([rho, rho], adjacency, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_weights_scale_linearly(self):
         rng = np.random.default_rng(4)
         outputs = [random_pure_state(1, rng).density() for _ in range(2)]
         adj = np.array([[0, 1], [1, 0]], dtype=float)
-        assert cost_graph(outputs, 3.0 * adj, 0) == pytest.approx(
-            3.0 * cost_graph(outputs, adj, 0), abs=1e-12
+        assert spread(outputs, 3.0 * adj, 0) == pytest.approx(
+            3.0 * spread(outputs, adj, 0), abs=1e-12
         )
 
     def test_residual_rescaling(self):
         outputs = [basis_state(0, 1).density(), basis_state(1, 1).density()]
         adj = np.array([[0, 1], [1, 0]], dtype=float)
-        assert cost_graph(outputs, adj, 1) == pytest.approx(2.0, abs=1e-12)
+        assert spread(outputs, adj, 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_no_edges_scores_zero(self):
         rng = np.random.default_rng(5)
         outputs = [random_pure_state(1, rng).density() for _ in range(3)]
-        assert cost_graph(outputs, np.zeros((3, 3)), 0) == 0.0
+        assert spread(outputs, np.zeros((3, 3)), 0) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pair_loop_oracle(self, seed):
@@ -122,7 +142,7 @@ class TestGraph:
         adjacency = upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n))
         want = oracles.cost_graph_pairs(outputs, adjacency, t)
         assert want > 0.0
-        assert abs(cost_graph(outputs, adjacency, t) - want) <= 1e-12 * want
+        assert abs(spread(outputs, adjacency, t) - want) <= 1e-12 * want
 
     def test_chunked_sum_equals_one_pass(self, monkeypatch):
         # Three edges' temporaries per chunk over 13 edges leaves a short last chunk.
@@ -133,47 +153,44 @@ class TestGraph:
         adjacency[rows[:13], cols[:13]] = rng.uniform(0.1, 2.0, 13)
         adjacency += adjacency.T
         monkeypatch.setattr(cost, "_SPREAD_CHUNK_BYTES", 2**40)
-        whole = cost_graph(outputs, adjacency, 1)
+        whole = spread(outputs, adjacency, 1)
         monkeypatch.setattr(cost, "_SPREAD_CHUNK_BYTES", 3 * 4 * outputs[0].matrix.nbytes)
-        assert cost_graph(outputs, adjacency, 1) == whole
+        assert spread(outputs, adjacency, 1) == whole
 
     def test_rejects_bad_adjacency(self):
-        rng = np.random.default_rng(6)
-        outputs = [random_pure_state(1, rng).density() for _ in range(2)]
+        # graph_generators is the public path that takes an adjacency from outside.
+        arch = arch_from_string("1,1")
+        uni = init_unitaries(arch, np.random.default_rng(6))
+        ds = generate_dataset(build_graph_spec("line", 2, 1), 1, seed=6)
+        records = [forward(arch, uni, ds.input_density(v)) for v in range(2)]
         with pytest.raises(DimensionError):
-            cost_graph(outputs, np.zeros((3, 3)), 0)
-        with pytest.raises(ValueError):
-            cost_graph(outputs, np.array([[0, 1], [0, 0]], dtype=float), 0)
+            graph_generators(arch, uni, records, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="symmetric"):
+            graph_generators(arch, uni, records, np.array([[0, 1], [0, 0]], dtype=float))
         with pytest.raises(ValueError, match="non-finite"):
-            cost_graph(outputs, np.array([[0, np.nan], [np.nan, 0]]), 0)
+            graph_generators(arch, uni, records, np.array([[0, np.nan], [np.nan, 0]]))
 
 
 class TestArrayKernels:
     @pytest.mark.parametrize("seed", range(4))
     def test_kernels_equal_public_costs(self, seed):
-        # Training scores (V, d, d) stacks through the kernels; the public
-        # functions wrap the same kernels around states.
+        # Training and the oracle score (V, d, d) stacks through the kernels;
+        # each must equal its pair-by-pair definition.
         rng = np.random.default_rng(seed)
         n, q, t = 6, int(rng.integers(1, 3)), int(rng.integers(0, 3))
-        outputs = [
-            OperatorState(2.0**t * oracles.random_density(q, rng), q) for _ in range(n)
-        ]
-        targets = [random_pure_state(q, rng) for _ in range(n)]
-        finals = np.stack([out.matrix for out in outputs])
-        amps = np.stack([phi.amplitudes for phi in targets])
-        sup = [0, 3]
-        sup_targets = [targets[v] for v in sup]
-        assert cost._mean_fidelity(finals[sup], amps[sup], t) == cost_supervised(
-            [outputs[v] for v in sup], sup_targets, t
-        )
-        assert cost._mean_fidelity(finals, amps, t) == cost_test(outputs, targets, t)
+        finals = np.stack([2.0**t * oracles.random_density(q, rng) for _ in range(n)])
+        amps = np.stack([random_pure_state(q, rng).amplitudes for _ in range(n)])
+        for sup in ([0, 3], list(range(n))):
+            overlaps = [np.vdot(amps[v], finals[v] @ amps[v]).real for v in sup]
+            want = sum(overlaps) / len(sup) / 2.0**t
+            assert cost._mean_fidelity(finals[sup], amps[sup], t) == pytest.approx(want, rel=1e-12)
         assert np.isnan(cost._mean_fidelity(finals[[]], amps[[]], t))
         upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
         adjacency = upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n))
-        spread = cost._graph_spread(finals, cost._neighbor_weights(adjacency, n), t)
-        assert spread == cost_graph(outputs, adjacency, t)
+        got = cost._graph_spread(finals, cost._neighbor_weights(adjacency, n), t)
+        outputs = [OperatorState(rho, q) for rho in finals]
         want = oracles.cost_graph_pairs(outputs, adjacency, t)
-        assert abs(spread - want) <= 1e-12 * want
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestFullAndTest:
@@ -191,10 +208,11 @@ class TestFullAndTest:
     def test_cost_test_maximally_mixed(self):
         mixed = OperatorState(np.eye(4, dtype=complex) / 4, 2)
         phi = random_pure_state(2, np.random.default_rng(7))
-        assert cost_test([mixed], [phi], 0) == pytest.approx(0.25, abs=1e-12)
+        assert fidelity([mixed], [phi], 0) == pytest.approx(0.25, abs=1e-12)
 
     def test_cost_test_empty_is_nan(self):
-        assert np.isnan(cost_test([], [], 0))
+        # A dataset whose every vertex is supervised has no held-out vertex.
+        assert np.isnan(cost._mean_fidelity(np.zeros((0, 4, 4)), np.zeros((0, 4)), 0))
 
     def test_report_round_trip(self):
         report = CostReport(c_sv=0.5, c_g=1.0, c_full=0.0, c_test=0.4)

@@ -1,13 +1,14 @@
 """Tests for graph specs and dataset generation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resqnn import graphdata
+from resqnn import cost, graphdata
 from resqnn.graphdata import (
     EDGE_BYTES,
     GraphDataset,
@@ -145,15 +146,15 @@ class TestGeneration:
         ds = generate_dataset(spec, 2, seed=3)
         for v in range(6):
             expected = ds.target_unitary @ ds.inputs[v].amplitudes
-            np.testing.assert_allclose(ds.target_for(v).amplitudes, expected, atol=1e-12)
+            np.testing.assert_allclose(ds.target_amplitudes[v], expected, atol=1e-12)
         assert len(ds.supervised_targets) == 2
-        assert len(ds.test_targets) == 4
+        assert ds.target_amplitudes[list(ds.spec.test_indices)].shape == (4, 4)
 
     def test_all_supervised_leaves_no_test_vertices(self):
         spec = build_graph_spec("line", 2, 2)
         ds = generate_dataset(spec, 1, seed=0)
         assert ds.spec.test_indices == ()
-        assert ds.test_targets == ()
+        assert ds.target_amplitudes[list(ds.spec.test_indices)].shape == (0, 2)
 
     def test_empty_supervised_set_is_valid(self):
         spec = build_graph_spec("line", 8, 0)
@@ -161,7 +162,39 @@ class TestGeneration:
         assert spec.test_indices == tuple(range(8))
         ds = generate_dataset(spec, 2, seed=0)
         assert ds.supervised_targets == ()
-        assert len(ds.test_targets) == 8
+        assert ds.target_amplitudes[list(ds.spec.test_indices)].shape == (8, 4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            build_graph_spec("line", 6, 2),
+            build_graph_spec("connected_clusters", 7, 2),
+            build_graph_spec("custom", 5, 1, edges=[(3, 1), (0, 4), (2, 0), (1, 0), (4, 3)]),
+            build_graph_spec("line", 1, 1),
+        ],
+        ids=["line-6", "clusters-7", "custom", "line-1"],
+    )
+    def test_edge_list_matches_checked_adjacency(self, spec):
+        # The dataset reads its edges from the spec; the adjacency check must agree.
+        ds = generate_dataset(spec, 1, seed=5)
+        want = cost._neighbor_weights(ds.adjacency, spec.num_vertices)
+        for got, ref in zip(ds.neighbor_weights, want, strict=True):
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_laplacian_builds_no_dense_adjacency(self):
+        # Building L holds one V x V array, with no dense A or diag(D) beside it.
+        ds = generate_dataset(build_graph_spec("line", 500, 5), 1, seed=0)
+        dense = 8 * 500**2
+        tracemalloc.start()
+        try:
+            laplacian = ds.laplacian
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert laplacian.nbytes == dense
+        assert peak < 1.5 * dense
+        assert "adjacency" not in vars(ds)
 
     def test_rejects_nonpositive_delta(self):
         spec = build_graph_spec("line", 4, 2)

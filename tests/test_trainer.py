@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resqnn import cost, graphdata, trainer
-from resqnn.cost import cost_full, cost_graph, cost_supervised
+from resqnn.cost import cost_full
 from resqnn.graphdata import adjacency_matrix, build_graph_spec, generate_dataset
 from resqnn.netcore import (
     Architecture,
@@ -81,17 +81,15 @@ def _assert_generators_close(got, want, label=""):
 
 def _all_costs(arch, dataset, unitaries):
     embedded = embed_network(arch, unitaries)
-    records = [
-        forward(arch, unitaries, dataset.input_density(v), embedded=embedded)
-        for v in range(dataset.spec.num_vertices)
-    ]
+    n = dataset.spec.num_vertices
+    finals = np.stack([
+        forward(arch, unitaries, dataset.input_density(v), embedded=embedded).final.matrix
+        for v in range(n)
+    ])
     t = arch.residual_count
-    c_sv = cost_supervised(
-        [records[v].final for v in dataset.spec.supervised_indices],
-        list(dataset.supervised_targets),
-        t,
-    )
-    c_g = cost_graph([r.final for r in records], dataset.adjacency, t)
+    sup = list(dataset.spec.supervised_indices)
+    c_sv = cost._mean_fidelity(finals[sup], dataset.target_amplitudes[sup], t)
+    c_g = cost._graph_spread(finals, cost._neighbor_weights(dataset.adjacency, n), t)
     return c_sv, c_g
 
 
@@ -434,12 +432,9 @@ class TestTrainingLoop:
             forward(arch, trace.final_unitaries, ds.input_density(v), embedded=emb)
             for v in range(4)
         ]
-        t = arch.residual_count
-        c_sv = cost_supervised(
-            [recs[v].final for v in ds.spec.supervised_indices],
-            list(ds.supervised_targets),
-            t,
-        )
+        sup = list(ds.spec.supervised_indices)
+        finals = np.stack([recs[v].final.matrix for v in sup])
+        c_sv = cost._mean_fidelity(finals, ds.target_amplitudes[sup], arch.residual_count)
         assert trace.reports[-1].c_sv == pytest.approx(c_sv, abs=1e-12)
         assert len(trace.wall_ms) == 3
         assert all(w >= 0.0 for w in trace.wall_ms)
@@ -503,8 +498,8 @@ class TestTrainingLoop:
             k_full(None, None, gamma=0.5)  # gamma checked before operands
 
     def test_graph_is_validated_once_per_dataset(self, monkeypatch):
-        # Epochs read the dataset's cached graph constants; only the first use
-        # runs the adjacency check, wherever it is called from.
+        # Training and the oracle read the dataset's cached graph constants,
+        # built from its own edge list: no dense adjacency is re-checked.
         calls = []
         original = cost._neighbor_weights
 
@@ -518,9 +513,10 @@ class TestTrainingLoop:
         arch = arch_from_string("2,~3,2")
         ds = generate_dataset(build_graph_spec("line", 6, 2), 2, seed=35)
         train(arch, ds, TrainingConfig(epochs=5, seed=35, gamma=-0.5))
-        assert len(calls) == 1
         train(arch, ds, TrainingConfig(epochs=5, seed=36, gamma=-0.5))
-        assert len(calls) == 1
+        k_numeric_oracle(arch, init_unitaries(arch, np.random.default_rng(35)), ds, -0.5)
+        assert len(calls) == 0
+        assert "adjacency" not in vars(ds)
 
     def test_trace_dataclass_shape(self):
         arch = arch_from_string("2,~3,2")
