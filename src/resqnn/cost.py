@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import DimensionError
-
 __all__ = ["CostReport", "cost_full"]
 
 #: Bytes of per-edge temporaries ``_graph_spread`` holds at once; edges beyond
@@ -34,36 +32,6 @@ def _mean_fidelity(finals: np.ndarray, amps: np.ndarray, residual_count: int) ->
         return float("nan")
     overlaps = np.einsum("vi,vij,vj->v", amps.conj(), finals, amps).real
     return float(overlaps.sum()) / (2.0**residual_count * len(amps))
-
-
-def _neighbor_weights(adjacency: np.ndarray, num_vertices: int) -> tuple:
-    """Rows, columns and weights of the edges ``v < w`` of a validated, symmetric adjacency.
-
-    Only an adjacency from outside the dataset comes through this check (the one
-    ``trainer.graph_generators`` is given); self-loops carry no spread and are
-    ignored. A ``GraphDataset`` reads the same triple straight from its spec's edges.
-    """
-    adj = np.asarray(adjacency, dtype=float)
-    if adj.shape != (num_vertices, num_vertices):
-        raise DimensionError(
-            f"adjacency shape {adj.shape} does not match {num_vertices} vertices"
-        )
-    if not np.isfinite(adj).all():
-        raise ValueError("adjacency matrix contains non-finite entries")
-    if adj.size and np.abs(adj - adj.T).max() > 1e-12:
-        raise ValueError("adjacency matrix must be symmetric")
-    rows, cols = np.nonzero(np.triu(adj, 1))
-    return rows, cols, adj[rows, cols]
-
-
-def _laplacian(edges: tuple, num_vertices: int) -> np.ndarray:
-    """Graph Laplacian ``L = D - A`` of :func:`_neighbor_weights` edges, without a dense ``A``."""
-    rows, cols, weights = edges
-    lap = np.zeros((num_vertices, num_vertices))
-    lap[rows, cols] = lap[cols, rows] = -weights
-    degrees = np.bincount(rows, weights, num_vertices) + np.bincount(cols, weights, num_vertices)
-    np.fill_diagonal(lap, degrees)
-    return lap
 
 
 def _graph_spread(finals: np.ndarray, neighbors: tuple, residual_count: int) -> float:

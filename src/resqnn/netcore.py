@@ -214,8 +214,8 @@ def _frozen_layers(
 def _check_unitary(stack: np.ndarray, where: str) -> None:
     products = stack @ stack.conj().swapaxes(-1, -2)
     defects = np.abs(products - np.eye(stack.shape[-1])).max(axis=(-2, -1))
-    j = np.argmax(defects > UNITARY_TOL)  # the first failing perceptron, if any
-    if defects[j] > UNITARY_TOL:
+    j = np.argmax(~(defects <= UNITARY_TOL))  # the first failing (or NaN) perceptron, if any
+    if not defects[j] <= UNITARY_TOL:
         raise ArchitectureError(f"{where.format(j)} deviates from unitarity by {defects[j]:.3e}")
 
 

@@ -189,7 +189,7 @@ def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
     if not math.isfinite(norm):
         raise ValueError(f"scale {scale} times the generator is not finite")
     squarings = math.ceil(math.log2(norm)) if norm > 1 else 0
-    x = norm / 2.0**squarings
+    x = math.ldexp(norm, -squarings)  # exact, and 2.0**squarings may overflow
     degree = next(
         m for m in range(19) if x ** (m + 1) * math.exp(x) <= 2.0**-53 * math.factorial(m + 1)
     )
@@ -199,7 +199,7 @@ def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
     coeffs[: degree + 1] = [1.0 / math.factorial(n) for n in range(degree + 1)]
     powers = np.empty((q + 1,) + arr.shape, dtype=np.complex128)
     powers[0] = np.eye(arr.shape[-1])
-    np.multiply(arr, 1j * scale / 2.0**squarings, out=powers[1])
+    np.multiply(arr, 1j * math.ldexp(scale, -squarings), out=powers[1])
     for j in range(2, q + 1):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
     blocks = (coeffs.reshape(-1, q) @ powers[:q].reshape(q, -1)).reshape((-1,) + arr.shape)

@@ -35,7 +35,11 @@ neighbor pairs, the pass of ``in_v - in_w`` seeded with ``rho_v - rho_w`` at
 prefactor ``2**(m_{l-1}+1)``. The commutator is bilinear in (forward input,
 seed), so summing the pairs leaves vertex ``v`` the seed
 ``sum_w A_vw (rho_v - rho_w) = (L rho)_v``; the gamma term carries the factor
-2 because its prefactor is twice the supervised one.
+2 because its prefactor is twice the supervised one. A self-loop ``A_vv``
+cancels in ``(L rho)_v``. A dataset writes ``L`` from its edge list, and
+``graph_generators`` forms ``diag(A 1) - A`` from the adjacency it is given.
+``L`` is real, so ``L rho`` is one real product over the stack's real and
+imaginary parts, with no complex copy of ``L``.
 
 A layer acts through its prefix blocks ``P_p = u_p ... u_1 E`` (``E``
 adjoins the ancillas in ``|0...0>``) and isometry ``W = P_m``. With
@@ -74,14 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import (
-    CostReport,
-    _graph_spread,
-    _laplacian,
-    _mean_fidelity,
-    _neighbor_weights,
-    cost_full,
-)
+from .cost import CostReport, _graph_spread, _mean_fidelity, cost_full
 from .graphdata import GraphDataset
 from .netcore import (
     Architecture,
@@ -125,8 +122,8 @@ PLATEAU_WINDOW = 20
 def _check_hermitian(stack: np.ndarray, where: str) -> None:
     defects = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     limits = HERMITIAN_TOL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-    j = np.argmax(defects > limits)  # the first failing generator, if any
-    if defects[j] > limits[j]:
+    j = np.argmax(~(defects <= limits))  # the first failing (or NaN) generator, if any
+    if not defects[j] <= limits[j]:
         raise ValueError(f"{where.format(j)} deviates from Hermiticity by {defects[j]:.3e}")
 
 
@@ -182,6 +179,12 @@ class TrainingTrace:
 # ---------------------------------------------------------------------------
 
 
+def _laplacian_product(laplacian: np.ndarray, finals: np.ndarray) -> np.ndarray:
+    """``(L rho)_v`` of a C-contiguous complex128 ``(V, d, d)`` stack; see the module docstring."""
+    product = laplacian @ finals.reshape(len(finals), -1).view(np.float64)
+    return product.view(np.complex128).reshape(finals.shape)
+
+
 def _vertex_seeds(
     finals: np.ndarray, supervised: Sequence[int], amps: np.ndarray, gamma: float,
     laplacian: np.ndarray | None,
@@ -190,7 +193,7 @@ def _vertex_seeds(
     if gamma == 0.0:
         seeds = np.zeros_like(finals)
     else:
-        seeds = 2.0 * gamma * np.tensordot(laplacian, finals, axes=1)
+        seeds = 2.0 * gamma * _laplacian_product(laplacian, finals)
     seeds[list(supervised)] += amps[:, :, None] * amps[:, None, :].conj() / len(amps)
     return seeds
 
@@ -273,11 +276,17 @@ def graph_generators(
     """Ascent generators for the graph cost (sum over unordered neighbor pairs).
 
     Training subtracts these (``gamma <= 0``), shrinking the output spread
-    between adjacent vertices.
+    between adjacent vertices. ``adjacency`` must be finite, symmetric and ``V x V``.
     """
     inputs, finals = _record_stacks(records)
-    laplacian = _laplacian(_neighbor_weights(adjacency, len(finals)), len(finals))
-    seeds = np.tensordot(laplacian, finals, axes=1)
+    adj = np.asarray(adjacency, dtype=float)
+    if adj.shape != (len(finals),) * 2:
+        raise DimensionError(f"adjacency shape {adj.shape} does not match {len(finals)} vertices")
+    if not np.isfinite(adj).all():
+        raise ValueError("adjacency matrix contains non-finite entries")
+    if np.abs(adj - adj.T).max() > 1e-12:
+        raise ValueError("adjacency matrix must be symmetric")
+    seeds = _laplacian_product(np.diag(adj.sum(axis=1)) - adj, finals)
     if embedded is None:
         embedded = embed_network(arch, unitaries)
     return _vertex_generators(arch, embedded, inputs, seeds, 2.0 * eta)

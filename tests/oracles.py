@@ -164,6 +164,12 @@ def cost_graph_pairs(outputs, adjacency, residual_count: int) -> float:
     return total / 2.0**residual_count
 
 
+def edge_list(adjacency: np.ndarray) -> tuple:
+    """Rows, columns and weights of the edges ``v < w`` of a symmetric adjacency."""
+    rows, cols = np.nonzero(np.triu(adjacency, 1))
+    return rows, cols, adjacency[rows, cols]
+
+
 def _ground_columns(u: np.ndarray, width_in: int, width_out: int) -> np.ndarray:
     """Columns of a layer operator whose output qubits are all |0>."""
     return u.reshape(u.shape[0], 2**width_in, 2**width_out)[:, :, 0]

@@ -136,6 +136,26 @@ class TestTrain:
             assert code == 2, field
             assert "malformed dataset" in capsys.readouterr().err, field
 
+    def test_nan_target_unitary_exits_before_training(self, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        assert _run("gen-data", "--out", data_dir, "--seed", 1, "--vertices", 4,
+                    "--supervised", 2) == 0
+        path = data_dir / "dataset.json"
+        payload = json.loads(path.read_text())
+        payload["target_unitary"][0][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(payload))
+        assert _run("train", "--out", tmp_path / "r", "--dataset", path, "--epochs", 1) == 2
+        assert "target unitary is not unitary" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squarings overflow to NaN
+    @pytest.mark.parametrize("epsilon", ["1e20", "1e308"])
+    def test_huge_step_exits_with_message(self, tmp_path, capsys, epsilon):
+        code = _run("train", "--arch", "1,1", "--vertices", 4, "--supervised", 2,
+                    "--epsilon", epsilon, "--epochs", 2, "--out", tmp_path / "r")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unitarity" in err and "Traceback" not in err
+
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"epochs": 6, "gamma": -0.25, "num_vertices": 4,

@@ -35,9 +35,9 @@ def fidelity(outputs, targets, t):
 
 
 def spread(outputs, adjacency, t):
-    """``cost._graph_spread`` of a list of states over a checked adjacency's edges."""
+    """``cost._graph_spread`` of a list of states over a symmetric adjacency's edges."""
     finals = np.array([rho.matrix for rho in outputs])
-    return cost._graph_spread(finals, cost._neighbor_weights(adjacency, len(outputs)), t)
+    return cost._graph_spread(finals, oracles.edge_list(adjacency), t)
 
 
 class TestSupervised:
@@ -187,7 +187,7 @@ class TestArrayKernels:
         assert np.isnan(cost._mean_fidelity(finals[[]], amps[[]], t))
         upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
         adjacency = upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n))
-        got = cost._graph_spread(finals, cost._neighbor_weights(adjacency, n), t)
+        got = cost._graph_spread(finals, oracles.edge_list(adjacency), t)
         outputs = [OperatorState(rho, q) for rho in finals]
         want = oracles.cost_graph_pairs(outputs, adjacency, t)
         assert abs(got - want) <= 1e-12 * want

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resqnn import cost, graphdata
+from resqnn import graphdata
 from resqnn.graphdata import (
     EDGE_BYTES,
     GraphDataset,
@@ -22,6 +22,7 @@ from resqnn.graphdata import (
     save_dataset,
 )
 
+import oracles
 from oracles import hs_distance
 
 
@@ -175,9 +176,9 @@ class TestGeneration:
         ids=["line-6", "clusters-7", "custom", "line-1"],
     )
     def test_edge_list_matches_checked_adjacency(self, spec):
-        # The dataset reads its edges from the spec; the adjacency check must agree.
+        # The dataset reads its edges from the spec; the adjacency's upper triangle must agree.
         ds = generate_dataset(spec, 1, seed=5)
-        want = cost._neighbor_weights(ds.adjacency, spec.num_vertices)
+        want = oracles.edge_list(ds.adjacency)
         for got, ref in zip(ds.neighbor_weights, want, strict=True):
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)
@@ -238,6 +239,16 @@ class TestSerialization:
         bad.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_dataset(bad)
+
+    def test_rejects_nan_in_target_unitary(self, tmp_path):
+        # json reads NaN, and a NaN defect passes any "defect > tol" test.
+        path = tmp_path / "data.json"
+        save_dataset(path, generate_dataset(build_graph_spec("line", 3, 1), 1, seed=4))
+        payload = json.loads(path.read_text())
+        payload["target_unitary"][0][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="target unitary is not unitary"):
+            load_dataset(path)
 
     def test_rejects_oversized_graph_before_building_it(self, tmp_path, monkeypatch):
         # A budget one byte under the file's 3-vertex, 2-edge graph stands in

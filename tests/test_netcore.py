@@ -1,5 +1,6 @@
 """Tests for architectures, perceptron layers, and residual feedforward."""
 
+import json
 import re
 
 import numpy as np
@@ -187,6 +188,14 @@ class TestUnitaries:
             LayerUnitaries(arch, ((np.eye(8),),))
         with pytest.raises(ArchitectureError):
             LayerUnitaries(arch, ((np.eye(4), np.eye(4)),))
+
+    def test_rejects_nan_stack(self):
+        arch = arch_from_string("2,~3,2")
+        unis = init_unitaries(arch, np.random.default_rng(3))
+        layers = [np.array(layer) for layer in unis.layers]
+        layers[1][:] = np.nan
+        with pytest.raises(ArchitectureError, match=re.escape("perceptron (1,0) deviates")):
+            LayerUnitaries(arch, tuple(layers))
 
     def test_non_unitary_perceptron_is_named_by_index(self):
         arch = arch_from_string("2,~3,~3,2")
@@ -424,3 +433,13 @@ class TestCheckpoint:
         bad.write_text(json.dumps(payload))
         with pytest.raises(ArchitectureError):
             load_checkpoint(bad)
+
+    def test_rejects_nan_entry(self, tmp_path):
+        # json reads NaN, and a NaN defect passes any "defect > tol" test.
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_unitaries(arch_from_string("1,1"), np.random.default_rng(15)))
+        payload = json.loads(path.read_text())
+        payload["layers"][0][0][0][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArchitectureError, match=r"perceptron \(0,0\) deviates .* by nan"):
+            load_checkpoint(path)

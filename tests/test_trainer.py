@@ -1,9 +1,11 @@
 """Tests for the update-generator engine and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from resqnn import cost, graphdata, trainer
+from resqnn import cost, trainer
 from resqnn.cost import cost_full
 from resqnn.graphdata import adjacency_matrix, build_graph_spec, generate_dataset
 from resqnn.netcore import (
@@ -89,7 +91,7 @@ def _all_costs(arch, dataset, unitaries):
     t = arch.residual_count
     sup = list(dataset.spec.supervised_indices)
     c_sv = cost._mean_fidelity(finals[sup], dataset.target_amplitudes[sup], t)
-    c_g = cost._graph_spread(finals, cost._neighbor_weights(dataset.adjacency, n), t)
+    c_g = cost._graph_spread(finals, dataset.neighbor_weights, t)
     return c_sv, c_g
 
 
@@ -184,6 +186,45 @@ class TestVertexEngine:
             got = graph_generators(arch, uni, recs, adjacency, 1.0, emb)
             want = oracles.graph_generators_per_edge(arch, workspace, recs, adjacency)
             _assert_generators_close(got, want, name)
+
+    def test_graph_generators_ignore_self_loops(self):
+        arch, ds, uni, emb, recs = _setup("2,~3,2", 43, num_vertices=6)
+        rng = np.random.default_rng(43)
+        upper = np.triu(rng.uniform(0.1, 2.0, (6, 6)), 1)
+        adjacency = upper + upper.T
+        want = graph_generators(arch, uni, recs, adjacency, 1.0, emb)
+        looped = adjacency + np.diag(rng.uniform(0.5, 1.5, 6))
+        got = graph_generators(arch, uni, recs, looped, 1.0, emb)
+        for kg, kw in zip(got.layers, want.layers):
+            assert np.abs(kg - kw).max() <= 1e-14 * np.abs(kw).max()
+
+    def test_laplacian_product_matches_complex_tensordot(self):
+        # A clusters-1000-sized product with random weights and a random output stack.
+        rng = np.random.default_rng(44)
+        n = 1000
+        upper = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        laplacian = np.diag((upper + upper.T).sum(axis=1)) - upper - upper.T
+        finals = np.stack([oracles.random_density(2, rng) for _ in range(n)])
+        got = trainer._laplacian_product(laplacian, finals)
+        want = np.tensordot(laplacian, finals, axes=1)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_vertex_seeds_make_no_complex_laplacian(self):
+        # 8 V^2 bytes would hold one more real V x V array; a complex copy of L needs 16 V^2.
+        ds = generate_dataset(build_graph_spec("line", 500, 5), 2, seed=45)
+        laplacian = ds.laplacian
+        rng = np.random.default_rng(45)
+        finals = np.stack([oracles.random_density(2, rng) for _ in range(500)])
+        sup = list(ds.spec.supervised_indices)
+        amps = ds.target_amplitudes[sup]
+        tracemalloc.start()
+        try:
+            trainer._vertex_seeds(finals, sup, amps, -0.5, laplacian)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 500**2
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5])
     @pytest.mark.parametrize("seed", range(4))
@@ -375,6 +416,12 @@ class TestUpdateStep:
         with pytest.raises(ValueError, match=r"generator \(0,1\) deviates from Hermiticity"):
             UpdateGenerators(arch, tuple(bad))
 
+    def test_rejects_nan_generators(self):
+        arch, _, uni, _, _ = _setup("2,~3,2", 25)
+        nans = tuple(np.full_like(layer, np.nan) for layer in uni.layers)
+        with pytest.raises(ValueError, match=r"generator \(0,0\) deviates from Hermiticity"):
+            UpdateGenerators(arch, nans)
+
     def test_generator_layers_are_read_only_copies(self):
         arch, ds, uni, emb, recs = _setup("2,~3,2", 25)
         k = _analytic_full(arch, ds, uni, emb, recs, gamma=0.0)
@@ -497,25 +544,14 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="non-positive"):
             k_full(None, None, gamma=0.5)  # gamma checked before operands
 
-    def test_graph_is_validated_once_per_dataset(self, monkeypatch):
+    def test_graph_is_validated_once_per_dataset(self):
         # Training and the oracle read the dataset's cached graph constants,
-        # built from its own edge list: no dense adjacency is re-checked.
-        calls = []
-        original = cost._neighbor_weights
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in (cost, graphdata, trainer):
-            if hasattr(module, "_neighbor_weights"):
-                monkeypatch.setattr(module, "_neighbor_weights", counted)
+        # built from its own edge list: no dense adjacency is built.
         arch = arch_from_string("2,~3,2")
         ds = generate_dataset(build_graph_spec("line", 6, 2), 2, seed=35)
         train(arch, ds, TrainingConfig(epochs=5, seed=35, gamma=-0.5))
         train(arch, ds, TrainingConfig(epochs=5, seed=36, gamma=-0.5))
         k_numeric_oracle(arch, init_unitaries(arch, np.random.default_rng(35)), ds, -0.5)
-        assert len(calls) == 0
         assert "adjacency" not in vars(ds)
 
     def test_trace_dataclass_shape(self):
