@@ -105,11 +105,6 @@ class ExperimentConfig:
             gamma=self.gamma,
         )
 
-    def as_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["seeds"] = list(self.seeds)
-        return payload
-
 
 #: Each config flag stores into the attribute named after its field.
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -131,7 +126,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    if getattr(args, "seeds", None) is None and args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         values["seeds"] = (args.seed,)
     if values.get("out_dir") is None:
         values["out_dir"] = os.environ.get(OUTPUT_ENV_VAR, ".")
@@ -142,7 +137,7 @@ def _prepare_out_dir(config: ExperimentConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "config.json"
-    path.write_text(json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n")
     return out
 
 def _build_dataset(config: ExperimentConfig, seed: int) -> GraphDataset:
@@ -190,8 +185,8 @@ def read_trace_csv(path: Path | str) -> dict[str, list[float]]:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out = _prepare_out_dir(config)
     dataset = _build_dataset(config, config.seeds[0])
+    out = _prepare_out_dir(config)
     path = out / "dataset.json"
     save_dataset(path, dataset)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -201,14 +196,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _run(
-    config: ExperimentConfig,
-    seed: int,
-    csv_path: Path,
-    dataset: GraphDataset | None = None,
+    config: ExperimentConfig, seed: int, csv_path: Path, dataset: GraphDataset
 ) -> TrainingTrace:
-    """Train ``config`` at ``seed`` (on a generated dataset by default); write the trace."""
-    if dataset is None:
-        dataset = _build_dataset(config, seed)
+    """Train ``config`` at ``seed`` on ``dataset``; write the trace."""
     trace = train(arch_from_string(config.arch), dataset, config.training_config(seed))
     write_trace_csv(csv_path, trace)
     return trace
@@ -216,9 +206,9 @@ def _run(
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    out = _prepare_out_dir(config)
     seed = config.seeds[0]
-    dataset = load_dataset(args.dataset) if args.dataset else None
+    dataset = load_dataset(args.dataset) if args.dataset else _build_dataset(config, seed)
+    out = _prepare_out_dir(config)
     csv_path = out / "trace.csv"
     trace = _run(config, seed, csv_path, dataset)
     checkpoint_path = out / "checkpoint.json"
@@ -265,11 +255,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         csv_rel = f"cells/{_cell_stem(args.vary, raw_value, seed)}.csv"
         try:
             variant = dataclasses.replace(config, **{field: parse(raw_value)})
-            trace = _run(variant, seed, out / csv_rel)
+            trace = _run(variant, seed, out / csv_rel, _build_dataset(variant, seed))
         except (ValueError, OSError) as exc:
             cell["error"] = str(exc)
         else:
-            cell.update(trace_csv=csv_rel, **trace.final_report.as_dict())
+            cell.update(trace_csv=csv_rel, **dataclasses.asdict(trace.final_report))
         cells.append(cell)
     failures = sum(c["error"] is not None for c in cells)
 
@@ -371,7 +361,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, help="update step size")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--delta", type=float, help="dataset closeness scale")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="out_dir",
                         help=f"output directory (default ${OUTPUT_ENV_VAR} or '.')")
 
@@ -385,14 +374,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = subparsers.add_parser("gen-data", help="generate a graph dataset JSON")
     _add_config_flags(gen)
+    gen.add_argument("--seed", type=int)
     gen.set_defaults(func=cmd_gen_data)
 
     tr = subparsers.add_parser("train", help="run one training loop")
     _add_config_flags(tr)
+    tr.add_argument("--seed", type=int)
     tr.add_argument("--dataset", help="dataset JSON to train on (default: generate)")
     tr.set_defaults(func=cmd_train)
 
-    sw = subparsers.add_parser("sweep", help="cross product of one axis and many seeds")
+    # No abbreviations, so "--seed", which only gen-data and train take, is not read as "--seeds".
+    sw = subparsers.add_parser(
+        "sweep", help="cross product of one axis and many seeds", allow_abbrev=False
+    )
     _add_config_flags(sw)
     sw.add_argument("--vary", required=True, choices=SWEEP_AXES)
     sw.add_argument("--values", required=True, nargs="+")

@@ -69,11 +69,3 @@ class CostReport:
     def __post_init__(self) -> None:
         for name in ("c_sv", "c_g", "c_full", "c_test"):
             object.__setattr__(self, name, float(getattr(self, name)))
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "c_sv": self.c_sv,
-            "c_g": self.c_g,
-            "c_full": self.c_full,
-            "c_test": self.c_test,
-        }

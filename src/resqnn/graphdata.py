@@ -102,10 +102,6 @@ class GraphSpec:
         object.__setattr__(self, "supervised_indices", sup)
 
     @property
-    def num_supervised(self) -> int:
-        return len(self.supervised_indices)
-
-    @property
     def test_indices(self) -> tuple[int, ...]:
         supervised = set(self.supervised_indices)
         return tuple(v for v in range(self.num_vertices) if v not in supervised)
@@ -154,7 +150,7 @@ def check_graph_size(topology: str, num_vertices: int, num_edges: int | None = N
     if estimate > MAX_DENSE_BYTES:
         raise ValueError(
             f"a {topology} graph on {num_vertices:,} vertices ({num_edges:,} edges) needs "
-            f"{estimate / 2**30:,.1f} GiB for its edge list and adjacency matrix, more "
+            f"{estimate / 2**30:,.1f} GiB for its edge list and one V x V matrix, more "
             f"than the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
 
@@ -163,7 +159,6 @@ def build_graph_spec(
     topology: str,
     num_vertices: int,
     num_supervised: int,
-    supervised_indices: Sequence[int] | None = None,
     edges: Sequence[tuple[int, int]] | None = None,
 ) -> GraphSpec:
     """Assemble a :class:`GraphSpec` for a built-in or custom topology.
@@ -184,15 +179,7 @@ def build_graph_spec(
         built = _cluster_edges(num_vertices)
     else:
         built = tuple(tuple(e) for e in edges)
-    if supervised_indices is None:
-        supervised = default_supervised_indices(num_vertices, num_supervised)
-    else:
-        supervised = tuple(supervised_indices)
-        if len(supervised) != num_supervised:
-            raise ValueError(
-                f"{num_supervised} supervised vertices requested but "
-                f"{len(supervised)} indices given"
-            )
+    supervised = default_supervised_indices(num_vertices, num_supervised)
     return GraphSpec(topology, num_vertices, built, supervised)
 
 
@@ -255,7 +242,7 @@ class GraphDataset:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Weighted adjacency matrix of the graph."""
+        """Symmetric 0/1 adjacency matrix of the graph."""
         return _read_only(adjacency_matrix(self.spec))
 
     @cached_property

@@ -111,20 +111,12 @@ class Architecture:
             return float("inf")
 
     @property
-    def num_hidden_layers(self) -> int:
-        return len(self.layer_widths) - 2
-
-    @property
     def num_unitary_layers(self) -> int:
         return len(self.layer_widths) - 1
 
     @property
     def input_qubits(self) -> int:
         return self.layer_widths[0]
-
-    @property
-    def output_qubits(self) -> int:
-        return self.layer_widths[-1]
 
     @property
     def residual_count(self) -> int:

@@ -44,9 +44,12 @@ HERMITIAN_TOL = 1e-10
 #: Absolute tolerance for pure-state normalization.
 NORM_TOL = 1e-12
 #: Budget for the largest objects resqnn builds up front: the dense matrices
-#: of an architecture, and a graph's edge list plus adjacency matrix. Inputs
+#: of an architecture, and a graph's edge list plus one ``V x V`` matrix. Inputs
 #: needing more are rejected before anything is allocated.
 MAX_DENSE_BYTES = 2**30
+#: Squarings ``exp_i_hermitian`` may take: each one about doubles the unitarity
+#: defect, and 2**53 roundoffs of 2**-53 add up to 1.
+MAX_SQUARINGS = 53
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -179,7 +182,8 @@ def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
     remainder bound ``x**(m+1) / (m+1)! * e**x`` is at most ``2**-53``, and is squared
     back: about ``2 * sqrt(m) + s`` batched products (Paterson-Stockmeyer), exact to
     about ``2**s`` roundoffs. Raises :class:`NonHermitianError` if a matrix is not
-    Hermitian within ``HERMITIAN_TOL``, ``ValueError`` if ``scale * k`` is not finite.
+    Hermitian within ``HERMITIAN_TOL``, ``ValueError`` if ``scale * k`` is not finite
+    or needs more than ``MAX_SQUARINGS`` squarings.
     """
     arr = _as_square_complex(k, "generator")
     defect = np.abs(arr - arr.conj().swapaxes(-1, -2)).max()
@@ -189,6 +193,11 @@ def exp_i_hermitian(k: np.ndarray, scale: float = 1.0) -> np.ndarray:
     if not math.isfinite(norm):
         raise ValueError(f"scale {scale} times the generator is not finite")
     squarings = math.ceil(math.log2(norm)) if norm > 1 else 0
+    if squarings > MAX_SQUARINGS:
+        raise ValueError(
+            f"scale {scale} needs {squarings} squarings; more than {MAX_SQUARINGS} "
+            f"would leave no unitarity"
+        )
     x = math.ldexp(norm, -squarings)  # exact, and 2.0**squarings may overflow
     degree = next(
         m for m in range(19) if x ** (m + 1) * math.exp(x) <= 2.0**-53 * math.factorial(m + 1)

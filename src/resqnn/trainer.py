@@ -67,7 +67,6 @@ was calibrated once against the oracle and is asserted stable by the test
 suite. Each evaluation re-runs the vertices from the perturbed layer on through
 ``forward`` and scores the stacked outputs with training's kernels,
 ``cost._mean_fidelity`` and ``cost._graph_spread`` over the dataset's edge list.
-At ``gamma = 0`` only the supervised vertices are re-run.
 """
 
 from __future__ import annotations
@@ -341,13 +340,11 @@ def k_numeric_oracle(
         raise ValueError("the oracle needs at least one supervised vertex")
     t = arch.residual_count
     amps = dataset.target_amplitudes[sup]
-    # At gamma = 0 only the supervised vertices are re-run, so they fill the stack.
-    vertices, sup_rows = (range(dataset.spec.num_vertices), sup) if gamma else (sup, slice(None))
     plan = embed_network(arch, unitaries)
-    records = {
-        v: forward(arch, unitaries, dataset.input_density(v), embedded=plan)
-        for v in vertices
-    }
+    records = [
+        forward(arch, unitaries, dataset.input_density(v), embedded=plan)
+        for v in range(dataset.spec.num_vertices)
+    ]
 
     def blended_cost(layer: int, p: int, perceptron: np.ndarray) -> float:
         """The objective with perceptron ``p`` of ``layer`` replaced (re-runs ``layer..``)."""
@@ -357,16 +354,12 @@ def k_numeric_oracle(
         patched[layer] = _layer_plan(perceptrons, arch.width_in(layer), arch.width_out(layer))
         finals = np.stack([
             forward(
-                arch, unitaries, records[v].layer_inputs[layer], embedded=patched,
-                start_layer=layer,
+                arch, unitaries, rec.layer_inputs[layer], embedded=patched, start_layer=layer,
             ).final.matrix
-            for v in vertices
+            for rec in records
         ])
-        cost = _mean_fidelity(finals[sup_rows], amps, t)
-        if gamma != 0.0:
-            c_g = _graph_spread(finals, dataset.neighbor_weights, t)
-            cost += gamma * GRAPH_GRADIENT_SCALE * c_g
-        return cost
+        c_g = _graph_spread(finals, dataset.neighbor_weights, t)
+        return _mean_fidelity(finals[sup], amps, t) + gamma * GRAPH_GRADIENT_SCALE * c_g
 
     cos_h, sin_h = np.cos(h), np.sin(h)
     layers = []
@@ -413,21 +406,6 @@ def _cost_report(
     return CostReport(c_sv=c_sv, c_g=c_g, c_full=cost_full(c_sv, c_g, gamma), c_test=c_t)
 
 
-def _analytic_generators(
-    arch: Architecture,
-    dataset: GraphDataset,
-    inputs: Sequence[np.ndarray],
-    finals: np.ndarray,
-    config: TrainingConfig,
-    plan: list,
-) -> UpdateGenerators:
-    """``k_full`` of both cost terms from one backward sweep over all vertices."""
-    sup = list(dataset.spec.supervised_indices)
-    laplacian = dataset.laplacian if config.gamma else None
-    seeds = _vertex_seeds(finals, sup, dataset.target_amplitudes[sup], config.gamma, laplacian)
-    return _vertex_generators(arch, plan, inputs, seeds, 1.0)
-
-
 def _plateau_epoch(values: Sequence[float]) -> int | None:
     streak = 0
     for e in range(1, len(values)):
@@ -465,6 +443,9 @@ def train(
 
     vertices = range(dataset.spec.num_vertices)
     rho_stack = np.stack([dataset.input_density(v).matrix for v in vertices])
+    sup = list(dataset.spec.supervised_indices)
+    amps = dataset.target_amplitudes[sup]
+    laplacian = dataset.laplacian if config.gamma else None
     plan = embed_network(arch, unitaries)
     inputs, outputs = _forward_stack(arch, plan, rho_stack, 0)
     initial_report = _cost_report(arch, dataset, outputs[-1], config.gamma)
@@ -473,9 +454,8 @@ def train(
     wall: list[float] = []
     for _ in range(config.epochs):
         t0 = time.perf_counter()
-        generators = _analytic_generators(
-            arch, dataset, inputs, outputs[-1], config, plan
-        )
+        seeds = _vertex_seeds(outputs[-1], sup, amps, config.gamma, laplacian)
+        generators = _vertex_generators(arch, plan, inputs, seeds, 1.0)
         unitaries = update_step(unitaries, generators, config.epsilon)
         plan = embed_network(arch, unitaries)
         inputs, outputs = _forward_stack(arch, plan, rho_stack, 0)

@@ -364,7 +364,7 @@ def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
     def cost(patched, layer):
         finals = [
             OperatorState(forward_reference(arch, patched, ins[layer], layer)[1][-1],
-                          arch.output_qubits)
+                          arch.layer_widths[-1])
             for ins in records
         ]
         overlaps = [
@@ -396,5 +396,58 @@ def k_shift_oracle(arch, unitaries, dataset, gamma, eta=1.0):
                 d1, d2 = diffs
                 grad[a] = (d1 + d2) / np.sqrt(2.0) + (d1 - d2)
             layer.append(eta * 2.0 ** (t - 1) * np.tensordot(grad, paulis, axes=1))
+        layers.append(tuple(layer))
+    return UpdateGenerators(arch, tuple(layers))
+
+
+def k_numeric_oracle_supervised_only(arch, unitaries, dataset, gamma, eta=1.0, h=1e-5):
+    """The finite-difference oracle as it was before it re-ran every vertex at every gamma.
+
+    At ``gamma = 0`` it re-runs only the supervised vertices and skips the graph
+    term; otherwise it is ``trainer.k_numeric_oracle`` line for line.
+    """
+    from resqnn.cost import _graph_spread, _mean_fidelity
+    from resqnn.netcore import _layer_plan, embed_network, forward
+    from resqnn.qlinalg import _pauli_stack
+    from resqnn.trainer import GRAPH_GRADIENT_SCALE, UpdateGenerators
+
+    sup = list(dataset.spec.supervised_indices)
+    t = arch.residual_count
+    amps = dataset.target_amplitudes[sup]
+    vertices, sup_rows = (range(dataset.spec.num_vertices), sup) if gamma else (sup, slice(None))
+    plan = embed_network(arch, unitaries)
+    records = {
+        v: forward(arch, unitaries, dataset.input_density(v), embedded=plan) for v in vertices
+    }
+
+    def blended_cost(layer, p, perceptron):
+        perceptrons = list(unitaries.layers[layer])
+        perceptrons[p] = perceptron
+        patched = list(plan)
+        patched[layer] = _layer_plan(perceptrons, arch.width_in(layer), arch.width_out(layer))
+        finals = np.stack([
+            forward(arch, unitaries, records[v].layer_inputs[layer], embedded=patched,
+                    start_layer=layer).final.matrix
+            for v in vertices
+        ])
+        cost = _mean_fidelity(finals[sup_rows], amps, t)
+        if gamma != 0.0:
+            c_g = _graph_spread(finals, dataset.neighbor_weights, t)
+            cost += gamma * GRAPH_GRADIENT_SCALE * c_g
+        return cost
+
+    cos_h, sin_h = np.cos(h), np.sin(h)
+    layers = []
+    for l in range(arch.num_unitary_layers):
+        local_paulis = _pauli_stack(arch.width_in(l) + 1)
+        layer = []
+        for p, base in enumerate(unitaries.layers[l]):
+            grad = np.zeros(len(local_paulis))
+            for a in range(1, len(local_paulis)):
+                rotated = local_paulis[a] @ base
+                plus = blended_cost(l, p, cos_h * base + 1j * sin_h * rotated)
+                minus = blended_cost(l, p, cos_h * base - 1j * sin_h * rotated)
+                grad[a] = (plus - minus) / (2 * h)
+            layer.append(eta * 2.0 ** (t - 1) * np.tensordot(grad, local_paulis, axes=1))
         layers.append(tuple(layer))
     return UpdateGenerators(arch, tuple(layers))

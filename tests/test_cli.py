@@ -1,5 +1,6 @@
 """Tests for the command-line harness and the SVG renderer."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,7 +49,7 @@ class TestExperimentConfig:
 
     def test_as_dict_round_trips_through_json(self):
         cfg = ExperimentConfig(gamma=-0.5, seeds=(3, 4), epochs=7)
-        payload = json.loads(json.dumps(cfg.as_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert ExperimentConfig(**payload) == cfg
 
 
@@ -76,7 +77,7 @@ class TestGenData:
         out = tmp_path / "s0"
         assert _run("gen-data", "--out", out, "--seed", 0, "--supervised", 0) == 0
         dataset = load_dataset(out / "dataset.json")
-        assert dataset.spec.num_supervised == 0
+        assert dataset.spec.supervised_indices == ()
 
     def test_output_env_var_is_default_root(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RESQNN_OUT", str(tmp_path / "envroot"))
@@ -147,7 +148,7 @@ class TestTrain:
         assert _run("train", "--out", tmp_path / "r", "--dataset", path, "--epochs", 1) == 2
         assert "target unitary is not unitary" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the squarings overflow to NaN
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any squaring
     @pytest.mark.parametrize("epsilon", ["1e20", "1e308"])
     def test_huge_step_exits_with_message(self, tmp_path, capsys, epsilon):
         code = _run("train", "--arch", "1,1", "--vertices", 4, "--supervised", 2,
@@ -215,6 +216,21 @@ class TestTrain:
             assert flag[2:] in capsys.readouterr().err
             assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "command, argv",
+        [("gen-data", ["--vertices", 4, "--supervised", 5]),
+         ("train", ["--vertices", 4, "--supervised", 5]),
+         ("gen-data", ["--topology", "connected_clusters", "--vertices", 1]),
+         ("train", ["--topology", "connected_clusters", "--vertices", 1]),
+         ("train", ["--dataset", "missing.json"])],
+    )
+    def test_rejected_dataset_leaves_no_output(self, tmp_path, capsys, monkeypatch,
+                                               command, argv):
+        monkeypatch.chdir(tmp_path)
+        assert _run(command, *argv, "--epochs", 1, "--out", tmp_path / "r") == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestSweep:
     def test_aggregates_match_raw_cell_traces(self, tmp_path, capsys):
@@ -277,6 +293,16 @@ class TestSweep:
         assert _run("sweep", "--out", tmp_path / "x", "--vary", "gamma",
                     "--values", "0", "--seeds", 3, "--epochs", 1) == 2
         assert "2 seeds" in capsys.readouterr().err
+
+    def test_seed_flag_not_offered(self, tmp_path, capsys):
+        # A single --seed could only be ignored next to --seeds or fail as one seed.
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            _run("sweep", "--out", out, "--vary", "gamma", "--values", "0", "--seed", 4,
+                 "--seeds", 0, 1, "--epochs", 1)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "vary, values",

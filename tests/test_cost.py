@@ -1,5 +1,7 @@
 """Tests for the supervised, graph, and blended cost functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,7 +70,7 @@ class TestSupervised:
             forward(arch, unis, random_pure_state(arch.input_qubits, rng).density()).final
             for _ in range(3)
         ]
-        targets = [random_pure_state(arch.output_qubits, rng) for _ in range(3)]
+        targets = [random_pure_state(arch.layer_widths[-1], rng) for _ in range(3)]
         value = fidelity(outputs, targets, arch.residual_count)
         assert -1e-12 <= value <= 1.0 + 1e-12
 
@@ -216,4 +218,6 @@ class TestFullAndTest:
 
     def test_report_round_trip(self):
         report = CostReport(c_sv=0.5, c_g=1.0, c_full=0.0, c_test=0.4)
-        assert report.as_dict() == {"c_sv": 0.5, "c_g": 1.0, "c_full": 0.0, "c_test": 0.4}
+        want = {"c_sv": 0.5, "c_g": 1.0, "c_full": 0.0, "c_test": 0.4}
+        assert dataclasses.asdict(report) == want
+        assert list(dataclasses.asdict(report)) == list(want)  # sweep.json's column order

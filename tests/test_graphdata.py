@@ -77,8 +77,6 @@ class TestSpecs:
             GraphSpec("line", 4, ((0, 1), (1, 0)), (0,))
         with pytest.raises(ValueError):
             GraphSpec("ring", 4, (), (0,))
-        with pytest.raises(ValueError):
-            build_graph_spec("line", 4, 2, supervised_indices=[0])
 
     @pytest.mark.parametrize("topology", ["line", "connected_clusters"])
     def test_size_estimate_counts_the_built_edges(self, topology, monkeypatch):

@@ -44,7 +44,7 @@ SWAP = np.array(
 class TestArchitecture:
     def test_basic_properties(self):
         arch = Architecture((2, 3, 2), (True,))
-        assert arch.num_hidden_layers == 1
+        assert len(arch.layer_widths) - 2 == 1
         assert arch.num_unitary_layers == 2
         assert arch.residual_count == 1
         assert arch.delta_m(0) == 1

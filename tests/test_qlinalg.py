@@ -252,6 +252,15 @@ class TestExponential:
         unitarity = got @ got.conj().swapaxes(-1, -2) - np.eye(2**qubits)
         assert np.abs(unitarity).max() <= 1e-9
 
+    def test_squarings_are_bounded(self):
+        # 2**53 roundoffs of 2**-53 add up to 1: past 53 squarings nothing is computed.
+        k, scale = self._stack_at_norm(4, 3, 2, 2.0**52.5)
+        assert np.isfinite(exp_i_hermitian(k, scale)).all()
+        for norm, squarings in ((2.0**53.5, 54), (1e300, 997)):
+            k, scale = self._stack_at_norm(4, 3, 2, norm)
+            with pytest.raises(ValueError, match=f"{squarings} squarings.*unitarity"):
+                exp_i_hermitian(k, scale)
+
     @pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.1, 0.5, 0.999, 1.0, 1.9, 3.0])
     def test_series_is_exact_to_roundoff(self, theta):
         # Products of Paulis square to I, so exp(i theta P) = cos(theta) I + i sin(theta) P

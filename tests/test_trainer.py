@@ -7,7 +7,13 @@ import pytest
 
 from resqnn import cost, trainer
 from resqnn.cost import cost_full
-from resqnn.graphdata import adjacency_matrix, build_graph_spec, generate_dataset
+from resqnn.graphdata import (
+    GraphDataset,
+    GraphSpec,
+    adjacency_matrix,
+    build_graph_spec,
+    generate_dataset,
+)
 from resqnn.netcore import (
     Architecture,
     ArchitectureError,
@@ -23,7 +29,6 @@ from resqnn.trainer import (
     TrainingConfig,
     TrainingTrace,
     UpdateGenerators,
-    _analytic_generators,
     graph_generators,
     k_full,
     k_numeric_oracle,
@@ -62,8 +67,10 @@ def _analytic_full(arch, dataset, unitaries, embedded, records, gamma):
 def _fused(arch, dataset, records, gamma, embedded):
     """Training's blended generators from one sweep, at the records' unitaries."""
     inputs, finals = trainer._record_stacks(records)
-    config = TrainingConfig(epochs=1, gamma=gamma)
-    return _analytic_generators(arch, dataset, inputs, finals, config, embedded)
+    sup = list(dataset.spec.supervised_indices)
+    laplacian = dataset.laplacian if gamma else None
+    seeds = trainer._vertex_seeds(finals, sup, dataset.target_amplitudes[sup], gamma, laplacian)
+    return trainer._vertex_generators(arch, embedded, inputs, seeds, 1.0)
 
 
 def _max_generator_diff(a, b):
@@ -148,6 +155,28 @@ class TestOracleEquivalence:
             for kg, k0, k1 in zip(lg, l0, l1):
                 assert np.abs(kg).max() > 1e-6
                 assert np.abs(kg - (k0 - k1)).max() < 1e-8
+
+    @pytest.mark.parametrize("arch_string", ["1,~1,~1,1", "2,3,~3,2"])
+    def test_gamma_zero_matches_supervised_only_reference(self, arch_string):
+        # Re-running every vertex at gamma = 0 adds exactly 0.0 * c_g to each
+        # objective, so the generators equal the former supervised-only oracle's.
+        arch, ds, uni, _, _ = _setup(arch_string, 50)
+        got = k_numeric_oracle(arch, uni, ds, gamma=0.0)
+        want = oracles.k_numeric_oracle_supervised_only(arch, uni, ds, 0.0)
+        for lg, lw in zip(got.layers, want.layers):
+            assert np.array_equal(lg, lw)
+
+    def test_gamma_zero_ignores_the_edges(self):
+        arch, ds, uni, _, _ = _setup("2,~3,2", 8)
+        rewired = GraphDataset(
+            GraphSpec("custom", 4, ((0, 2), (0, 3), (1, 2)), ds.spec.supervised_indices),
+            ds.input_qubits, ds.delta, ds.seed, ds.inputs, ds.target_unitary,
+        )
+        for gamma, same in ((0.0, True), (-0.5, False)):
+            got = k_numeric_oracle(arch, uni, rewired, gamma=gamma)
+            want = k_numeric_oracle(arch, uni, ds, gamma=gamma)
+            equal = [np.array_equal(lg, lw) for lg, lw in zip(got.layers, want.layers)]
+            assert all(equal) if same else not any(equal), gamma
 
     def test_eta_scales_generators_linearly(self):
         arch, ds, uni, emb, recs = _setup("2,~3,2", 4)
@@ -251,7 +280,7 @@ class TestVertexEngine:
     def test_stacked_engine_matches_per_vertex_reference(self, seed):
         rng = np.random.default_rng(200 + seed)
         drawn = oracles.random_architecture(rng)
-        hidden = drawn.num_hidden_layers
+        hidden = len(drawn.layer_widths) - 2
         n = 5
         for flags in (drawn.residual_flags, (True,) * hidden, (False,) * hidden):
             arch = Architecture(drawn.layer_widths, flags)
@@ -268,7 +297,7 @@ class TestVertexEngine:
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (flags, v)
             # Random Hermitian seeds, one of them zero.
             seeds = np.stack(
-                [oracles.random_hermitian(arch.output_qubits, rng) for _ in range(n)]
+                [oracles.random_hermitian(arch.layer_widths[-1], rng) for _ in range(n)]
             )
             seeds[1] = 0.0
             got = trainer._vertex_generators(arch, emb, inputs, seeds, 1.0)
