@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .graphdata import (
+    DEFAULT_DELTA,
     TOPOLOGIES,
     GraphDataset,
     build_graph_spec,
@@ -76,16 +77,25 @@ class ExperimentConfig:
     epsilon: float = 0.01
     epochs: int = 250
     seeds: tuple[int, ...] = (0,)
-    delta: float = 0.3
+    delta: float = DEFAULT_DELTA
     out_dir: str = "."
 
     def __post_init__(self) -> None:
+        # Each field takes its default's type (a float field an int too); a bool is no number.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            items = value if f.name == "seeds" else [value]
+            kind = {float: (int, float), tuple: int}.get(type(f.default), type(f.default))
+            if not isinstance(items, (list, tuple)) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in items
+            ):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         object.__setattr__(self, "arch", arch_to_string(arch_from_string(self.arch)))
         if self.topology not in _TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {_TOPOLOGIES}, got {self.topology!r}"
             )
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = tuple(self.seeds)
         if not seeds:
             raise ValueError("need at least one seed")
         if len(set(seeds)) != len(seeds):
@@ -110,27 +120,21 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, the optional config file, and explicit flags."""
+def resolve_config(args: argparse.Namespace) -> tuple[ExperimentConfig, set[str]]:
+    """Merge defaults, the optional config file and the typed flags; name the fields given."""
     values: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        payload = json.loads(Path(config_path).read_text())
+    if args.config:
+        payload = json.loads(Path(args.config).read_text())
         if not isinstance(payload, dict):
-            raise ValueError(f"config file {config_path} must hold a JSON object")
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(payload) - _CONFIG_FIELDS
         if unknown:
-            raise ValueError(f"unknown config fields {sorted(unknown)} in {config_path}")
+            raise ValueError(f"unknown config fields {sorted(unknown)} in {args.config}")
         values.update(payload)
-    for name in _CONFIG_FIELDS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    if getattr(args, "seed", None) is not None:
-        values["seeds"] = (args.seed,)
-    if values.get("out_dir") is None:
-        values["out_dir"] = os.environ.get(OUTPUT_ENV_VAR, ".")
-    return ExperimentConfig(**values)
+    values.update((name, v) for name, v in vars(args).items() if name in _CONFIG_FIELDS)
+    given = set(values)
+    values.setdefault("out_dir", os.environ.get(OUTPUT_ENV_VAR, "."))
+    return ExperimentConfig(**values), given
 
 
 def _prepare_out_dir(config: ExperimentConfig) -> Path:
@@ -184,7 +188,7 @@ def read_trace_csv(path: Path | str) -> dict[str, list[float]]:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config, _ = resolve_config(args)
     dataset = _build_dataset(config, config.seeds[0])
     out = _prepare_out_dir(config)
     path = out / "dataset.json"
@@ -205,9 +209,16 @@ def _run(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config, given = resolve_config(args)
     seed = config.seeds[0]
     dataset = load_dataset(args.dataset) if args.dataset else _build_dataset(config, seed)
+    spec = dataset.spec
+    held = {"topology": spec.topology, "num_vertices": spec.num_vertices,
+            "num_supervised": len(spec.supervised_indices), "delta": dataset.delta}
+    clashes = [f"{name} {getattr(config, name)!r} (the file holds {value!r})"
+               for name, value in held.items() if name in given and getattr(config, name) != value]
+    if clashes:
+        raise ValueError(f"given settings disagree with {args.dataset}: " + "; ".join(clashes))
     out = _prepare_out_dir(config)
     csv_path = out / "trace.csv"
     trace = _run(config, seed, csv_path, dataset)
@@ -231,7 +242,7 @@ def _cell_stem(axis: str, raw_value: str, seed: int) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config, _ = resolve_config(args)
     if len(config.seeds) < 2:
         raise ValueError(
             f"sweep needs at least 2 seeds for error bars, got {len(config.seeds)}"
@@ -350,7 +361,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file of config fields; flags override it")
+    parser.add_argument("--config", default=None, help="JSON file of fields; flags override it")
     parser.add_argument("--arch", help="layer widths, '~' marks a shortcut hidden layer")
     parser.add_argument("--topology", choices=_TOPOLOGIES)
     parser.add_argument("--vertices", dest="num_vertices", type=int,
@@ -372,20 +383,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    gen = subparsers.add_parser("gen-data", help="generate a graph dataset JSON")
+    # A flag that is not typed stays off the namespace, so resolve_config sees what was given.
+    config_parser = {"argument_default": argparse.SUPPRESS, "allow_abbrev": False}
+    seed_flag = {"dest": "seeds", "nargs": 1, "type": int, "metavar": "SEED"}
+    gen = subparsers.add_parser("gen-data", help="generate a graph dataset JSON", **config_parser)
     _add_config_flags(gen)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", **seed_flag)
     gen.set_defaults(func=cmd_gen_data)
 
-    tr = subparsers.add_parser("train", help="run one training loop")
+    tr = subparsers.add_parser("train", help="run one training loop", **config_parser)
     _add_config_flags(tr)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--dataset", help="dataset JSON to train on (default: generate)")
+    tr.add_argument("--seed", **seed_flag)
+    tr.add_argument("--dataset", default=None, help="dataset JSON to train on (default: generate)")
     tr.set_defaults(func=cmd_train)
 
-    # No abbreviations, so "--seed", which only gen-data and train take, is not read as "--seeds".
     sw = subparsers.add_parser(
-        "sweep", help="cross product of one axis and many seeds", allow_abbrev=False
+        "sweep", help="cross product of one axis and many seeds", **config_parser
     )
     _add_config_flags(sw)
     sw.add_argument("--vary", required=True, choices=SWEEP_AXES)
@@ -393,7 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seeds", nargs="+", type=int, help="seeds (>= 2) for error bars")
     sw.set_defaults(func=cmd_sweep)
 
-    pl = subparsers.add_parser("plot", help="render trace CSVs to a deterministic SVG")
+    pl = subparsers.add_parser(
+        "plot", help="render trace CSVs to a deterministic SVG", allow_abbrev=False
+    )
     pl.add_argument("traces", nargs="+", help="trace CSV files")
     pl.add_argument("--labels", nargs="*", help="legend labels (default: file stems)")
     pl.add_argument("--styles", nargs="*", choices=LINE_STYLES)

@@ -46,7 +46,6 @@ __all__ = [
     "TOPOLOGIES",
     "GraphSpec",
     "GraphDataset",
-    "adjacency_matrix",
     "build_graph_spec",
     "check_graph_size",
     "default_supervised_indices",
@@ -183,14 +182,6 @@ def build_graph_spec(
     return GraphSpec(topology, num_vertices, built, supervised)
 
 
-def adjacency_matrix(spec: GraphSpec) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix of the graph's edges."""
-    adj = np.zeros((spec.num_vertices, spec.num_vertices))
-    for v, w in spec.edges:
-        adj[v, w] = adj[w, v] = 1.0
-    return adj
-
-
 @dataclass(frozen=True)
 class GraphDataset:
     """Inputs, hidden target unitary, and supervision split for one graph."""
@@ -243,7 +234,10 @@ class GraphDataset:
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix of the graph."""
-        return _read_only(adjacency_matrix(self.spec))
+        rows, cols, weights = self.neighbor_weights
+        adj = np.zeros((self.spec.num_vertices,) * 2)
+        adj[rows, cols] = adj[cols, rows] = weights
+        return _read_only(adj)
 
     @cached_property
     def neighbor_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

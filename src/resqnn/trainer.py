@@ -160,8 +160,6 @@ class TrainingConfig:
 class TrainingTrace:
     """Per-epoch cost reports (measured after each update) plus the outcome."""
 
-    arch: Architecture
-    config: TrainingConfig
     initial_report: CostReport
     reports: tuple[CostReport, ...]
     wall_ms: tuple[float, ...]
@@ -418,12 +416,7 @@ def _plateau_epoch(values: Sequence[float]) -> int | None:
     return None
 
 
-def train(
-    arch: Architecture,
-    dataset: GraphDataset,
-    config: TrainingConfig,
-    initial_unitaries: LayerUnitaries | None = None,
-) -> TrainingTrace:
+def train(arch: Architecture, dataset: GraphDataset, config: TrainingConfig) -> TrainingTrace:
     """Run the epoch loop; deterministic given (arch, dataset, config).
 
     Each epoch computes the closed-form generators from the epoch-start
@@ -435,11 +428,7 @@ def train(
             f"dataset states have {dataset.input_qubits} qubits, "
             f"architecture expects {arch.input_qubits}"
         )
-    unitaries = initial_unitaries or init_unitaries(
-        arch, np.random.default_rng([config.seed, 1])
-    )
-    if unitaries.arch != arch:
-        raise ArchitectureError("initial unitaries do not match the architecture")
+    unitaries = init_unitaries(arch, np.random.default_rng([config.seed, 1]))
 
     vertices = range(dataset.spec.num_vertices)
     rho_stack = np.stack([dataset.input_density(v).matrix for v in vertices])
@@ -464,8 +453,6 @@ def train(
 
     plateau = _plateau_epoch([initial_report.c_full] + [r.c_full for r in reports])
     return TrainingTrace(
-        arch=arch,
-        config=config,
         initial_report=initial_report,
         reports=tuple(reports),
         wall_ms=tuple(wall),

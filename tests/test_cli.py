@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from resqnn.cli import (
+    TRACE_COLUMNS,
     ExperimentConfig,
     main,
     read_trace_csv,
@@ -46,6 +47,13 @@ class TestExperimentConfig:
             for bad in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match=field):
                     ExperimentConfig(**{field: bad})
+        # Each field takes its default's type; a bool is no number and a string no list.
+        for field, bad in (("seeds", "12"), ("seeds", 3), ("seeds", (True,)), ("seeds", (1.0,)),
+                           ("epochs", True), ("epochs", 1.5), ("num_vertices", "8"),
+                           ("gamma", "-0.5"), ("delta", False), ("arch", 2), ("out_dir", None)):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(**{field: bad})
+        assert ExperimentConfig(gamma=-1, delta=1, seeds=[2, 3]).seeds == (2, 3)
 
     def test_as_dict_round_trips_through_json(self):
         cfg = ExperimentConfig(gamma=-0.5, seeds=(3, 4), epochs=7)
@@ -178,6 +186,49 @@ class TestTrain:
             assert _run("train", "--config", cfg_file, "--out", tmp_path / "r") == 2
             assert repr(next(iter(payload))) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload", [{"seeds": "12"}, {"epochs": True}, {"epochs": 1.5}, {"num_vertices": "8"},
+                    {"gamma": "-0.5"}]
+    )
+    def test_config_field_of_wrong_type_exits_before_any_output(self, tmp_path, capsys,
+                                                                  payload):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload))
+        assert _run("train", "--config", cfg_file, "--out", tmp_path / "r") == 2
+        assert f"{next(iter(payload))} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_dataset_rejects_given_graph_settings_it_does_not_hold(self, tmp_path, capsys):
+        assert _run("gen-data", "--out", tmp_path / "d", "--seed", 1, "--vertices", 6,
+                    "--supervised", 2) == 0
+        path = tmp_path / "d" / "dataset.json"
+        assert _run("train", "--dataset", path, "--vertices", 40, "--supervised", 9,
+                    "--topology", "connected_clusters", "--delta", 5, "--epochs", 2,
+                    "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        for clash in ("topology 'connected_clusters' (the file holds 'line')",
+                      "num_vertices 40 (the file holds 6)", "num_supervised 9 (the file holds 2)",
+                      "delta 5.0 (the file holds 0.3)"):
+            assert clash in err
+        assert not (tmp_path / "r").exists()
+        # A config file's fields are given too.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"num_vertices": 7}))
+        assert _run("train", "--dataset", path, "--config", cfg_file, "--epochs", 2,
+                    "--out", tmp_path / "r") == 2
+        assert "num_vertices 7 (the file holds 6)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        # Settings that match the file train as without them.
+        assert _run("train", "--dataset", path, "--vertices", 6, "--supervised", 2,
+                    "--topology", "line", "--delta", 0.3, "--epochs", 2, "--seed", 3,
+                    "--out", tmp_path / "given") == 0
+        assert _run("train", "--dataset", path, "--epochs", 2, "--seed", 3,
+                    "--out", tmp_path / "bare") == 0
+        capsys.readouterr()
+        assert (tmp_path / "given" / "checkpoint.json").read_bytes() == (
+            tmp_path / "bare" / "checkpoint.json"
+        ).read_bytes()
+
     def test_custom_topology_is_not_offered(self, tmp_path, capsys):
         # No flag or config field carries an edge list, so "custom" could never run.
         with pytest.raises(SystemExit) as exc:
@@ -230,6 +281,23 @@ class TestTrain:
         assert _run(command, *argv, "--epochs", 1, "--out", tmp_path / "r") == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv", [["gen-data", "--vert", 5, "--sup", 1],
+                 ["train", "--epoch", 1, "--vert", 4, "--sup", 1],
+                 ["plot", "trace.csv", "--lab", "a"]]
+    )
+    def test_abbreviated_flags_are_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trace.csv").write_text(",".join(TRACE_COLUMNS) + "\n1,0.5,0,0.5,0.5,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(*argv, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        flag = next(a for a in argv if str(a).startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:

@@ -13,7 +13,6 @@ from resqnn.graphdata import (
     EDGE_BYTES,
     GraphDataset,
     GraphSpec,
-    adjacency_matrix,
     build_graph_spec,
     check_graph_size,
     default_supervised_indices,
@@ -53,10 +52,15 @@ class TestSpecs:
 
     def test_adjacency_matrix_symmetric_hollow(self):
         spec = build_graph_spec("line", 5, 2)
-        adj = adjacency_matrix(spec)
+        adj = generate_dataset(spec, 1).adjacency
         np.testing.assert_array_equal(adj, adj.T)
         assert np.all(np.diag(adj) == 0)
         assert adj.sum() == 2 * len(spec.edges)
+        expected = np.zeros((5, 5))
+        for v, w in spec.edges:
+            expected[v, w] = expected[w, v] = 1.0
+        assert adj.tobytes() == expected.tobytes()
+        assert not adj.flags.writeable
 
     def test_custom_topology_round_trip(self):
         spec = build_graph_spec("custom", 4, 2, edges=[(0, 2), (3, 1)])

@@ -10,7 +10,6 @@ from resqnn.cost import cost_full
 from resqnn.graphdata import (
     GraphDataset,
     GraphSpec,
-    adjacency_matrix,
     build_graph_spec,
     generate_dataset,
 )
@@ -205,9 +204,10 @@ class TestVertexEngine:
         _, ds, uni, emb, recs = _setup(arch_to_string(arch), seed, num_vertices=n)
         workspace = oracles.workspace_matrices(arch, uni)
         upper = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        clusters = generate_dataset(build_graph_spec("connected_clusters", n, 2), 1)
         adjacencies = {
             "line": ds.adjacency,
-            "clusters": adjacency_matrix(build_graph_spec("connected_clusters", n, 2)),
+            "clusters": clusters.adjacency,
             # Self-loops carry no spread: both versions must ignore the diagonal.
             "weighted with self-loops": upper + upper.T + np.diag(rng.uniform(0.5, 1.5, n)),
         }
@@ -589,6 +589,4 @@ class TestTrainingLoop:
         ds = generate_dataset(spec, 2, delta=0.3, seed=34)
         trace = train(arch, ds, TrainingConfig(epochs=2, seed=34))
         assert isinstance(trace, TrainingTrace)
-        assert trace.arch == arch
-        assert trace.config.epochs == 2
         assert len(trace.reports) == 2
