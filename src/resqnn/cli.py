@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -143,6 +144,7 @@ def _prepare_out_dir(config: ExperimentConfig) -> Path:
     path = out / "config.json"
     path.write_text(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n")
     return out
+
 
 def _build_dataset(config: ExperimentConfig, seed: int) -> GraphDataset:
     arch = arch_from_string(config.arch)
@@ -376,7 +378,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"output directory (default ${OUTPUT_ENV_VAR} or '.')")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="resqnn",
         description="Experiment harness for shortcut-equipped quantum network training.",
@@ -389,13 +393,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = subparsers.add_parser("gen-data", help="generate a graph dataset JSON", **config_parser)
     _add_config_flags(gen)
     gen.add_argument("--seed", **seed_flag)
-    gen.set_defaults(func=cmd_gen_data)
+    gen.set_defaults(func=cmd_gen_data, parser=gen)
 
     tr = subparsers.add_parser("train", help="run one training loop", **config_parser)
     _add_config_flags(tr)
     tr.add_argument("--seed", **seed_flag)
     tr.add_argument("--dataset", default=None, help="dataset JSON to train on (default: generate)")
-    tr.set_defaults(func=cmd_train)
+    tr.set_defaults(func=cmd_train, parser=tr)
 
     sw = subparsers.add_parser(
         "sweep", help="cross product of one axis and many seeds", **config_parser
@@ -404,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--vary", required=True, choices=SWEEP_AXES)
     sw.add_argument("--values", required=True, nargs="+")
     sw.add_argument("--seeds", nargs="+", type=int, help="seeds (>= 2) for error bars")
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(func=cmd_sweep, parser=sw)
 
     pl = subparsers.add_parser(
         "plot", help="render trace CSVs to a deterministic SVG", allow_abbrev=False
@@ -415,13 +419,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--column", default="c_test", choices=TRACE_COLUMNS[1:5])
     pl.add_argument("--title", default="")
     pl.add_argument("--out", help="output SVG path (default: $%s/plot.svg)" % OUTPUT_ENV_VAR)
-    pl.set_defaults(func=cmd_plot)
+    pl.set_defaults(func=cmd_plot, parser=pl)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        # argparse hands a subcommand's unknown flags back up; report them with its own usage.
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

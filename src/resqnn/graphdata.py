@@ -319,7 +319,7 @@ def generate_dataset(
 
 
 def save_dataset(path: str | Path, dataset: GraphDataset) -> None:
-    """Write the dataset as JSON (states and target unitary as [re, im] pairs)."""
+    """Write the dataset as compact JSON (states and target unitary as [re, im] pairs)."""
     payload = {
         "spec": {
             "topology": dataset.spec.topology,
@@ -333,7 +333,7 @@ def save_dataset(path: str | Path, dataset: GraphDataset) -> None:
         "states": [_complex_to_pairs(psi.amplitudes) for psi in dataset.inputs],
         "target_unitary": _complex_to_pairs(dataset.target_unitary),
     }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_dataset(path: str | Path) -> GraphDataset:

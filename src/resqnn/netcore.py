@@ -382,14 +382,14 @@ def save_checkpoint(
     unitaries: LayerUnitaries,
     seed: int | None = None,
 ) -> None:
-    """Write unitaries as JSON: arch string, seed, row-major [re, im] pairs."""
+    """Write unitaries as compact JSON: arch string, seed, row-major [re, im] pairs."""
     arch = unitaries.arch
     payload = {
         "arch": arch_to_string(arch),
         "seed": seed,
         "layers": [[_complex_to_pairs(u) for u in layer] for layer in unitaries.layers],
     }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[LayerUnitaries, int | None]:

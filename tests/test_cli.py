@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,21 @@ from resqnn.netcore import arch_from_string, init_unitaries, load_checkpoint
 from resqnn.svgplot import Series, render_line_plot
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _run(*argv):
     return main([str(a) for a in argv])
+
+
+def _python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports resqnn from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestExperimentConfig:
@@ -287,7 +304,8 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv", [["gen-data", "--vert", 5, "--sup", 1],
                  ["train", "--epoch", 1, "--vert", 4, "--sup", 1],
-                 ["plot", "trace.csv", "--lab", "a"]]
+                 ["plot", "trace.csv", "--lab", "a"],
+                 ["plot", "trace.csv", "--bogus"]]
     )
     def test_abbreviated_flags_are_rejected(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -296,8 +314,117 @@ class TestParser:
             _run(*argv, "--out", tmp_path / "out")
         assert exc.value.code == 2
         flag = next(a for a in argv if str(a).startswith("--"))
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # Reported with the subcommand's own usage, which lists the flags it takes.
+        assert err.startswith(f"usage: resqnn {argv[0]} ")
+        assert f"resqnn {argv[0]}: error: unrecognized arguments: {flag}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_import_builds_no_parser_and_main_builds_one(self, tmp_path):
+        # Count every ArgumentParser made: none on import, one set (with its
+        # subcommands) on the first call of main, none on the second.
+        counts = _python(
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import resqnn.cli\n"
+            "seen = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    assert resqnn.cli.main(['plot', 'missing.csv']) == 2\n"
+            "    seen.append(len(built))\n"
+            "print(*seen)\n",
+            cwd=tmp_path,
+        )
+        after_import, after_first, after_second = map(int, counts.split())
+        assert after_import == 0
+        assert after_first == after_second == 5
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser; no call leaves state for the next."""
+
+    def test_omitted_flag_takes_its_default_after_a_call_that_gave_it(self, tmp_path, capsys):
+        assert _run("gen-data", "--out", tmp_path / "a", "--vertices", 5, "--supervised", 1) == 0
+        assert _run("gen-data", "--out", tmp_path / "b") == 0
+        capsys.readouterr()
+        recorded = [json.loads((tmp_path / name / "config.json").read_text()) for name in "ab"]
+        assert [c["num_vertices"] for c in recorded] == [5, 8]
+        assert [c["num_supervised"] for c in recorded] == [1, 3]
+        assert load_dataset(tmp_path / "b" / "dataset.json").spec.num_vertices == 8
+
+    @pytest.mark.parametrize(
+        "rejected", [["train", "--epochs", "many"], ["train", "--epoch", 1],
+                     ["sweep", "--vary", "gamma"]]
+    )
+    def test_rejected_call_leaves_the_next_one_working(self, tmp_path, capsys, rejected):
+        with pytest.raises(SystemExit) as exc:
+            _run(*rejected, "--out", tmp_path / "bad")
+        assert exc.value.code == 2
+        assert _run("train", "--out", tmp_path / "r", "--epochs", 1, "--vertices", 4,
+                    "--supervised", 2) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "bad").exists()
+        assert json.loads((tmp_path / "r" / "config.json").read_text())["epochs"] == 1
+        assert len(read_trace_csv(tmp_path / "r" / "trace.csv")["epoch"]) == 1
+
+    def test_sweep_then_train_write_what_each_writes_alone(self, tmp_path, capsys, monkeypatch):
+        common = ["--epochs", "3", "--vertices", "4", "--supervised", "2"]
+        commands = {
+            "sw": ["sweep", "--vary", "gamma", "--values", "0", "-0.5", "--seeds", "0", "1",
+                   *common],
+            "tr": ["train", "--seed", "1", "--gamma", "-0.5", *common],
+        }
+        # Both sides run from their own directory, so config.json records the same out_dir.
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        together.mkdir()
+        alone.mkdir()
+        monkeypatch.chdir(together)
+        for name, argv in commands.items():
+            argv = [*argv, "--out", name]
+            assert main(argv) == 0
+            _python(f"import sys, resqnn.cli; sys.exit(resqnn.cli.main({argv!r}))", cwd=alone)
+        capsys.readouterr()
+
+        def contents(root):
+            # Every file's bytes, but a trace's wall-clock column.
+            return {
+                path.relative_to(root): (
+                    [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+                    if path.suffix == ".csv" and path.name != "sweep.csv"
+                    else path.read_bytes()
+                )
+                for path in sorted(root.rglob("*")) if path.is_file()
+            }
+
+        expected = contents(alone)
+        # sweep: config, sweep.json, sweep.csv and 4 cells; train: config, trace, checkpoint
+        assert len(expected) == 10
+        assert contents(together) == expected
+
+
+class TestFileFormat:
+    def test_machine_read_files_are_compact_and_settings_files_indented(self, tmp_path, capsys):
+        common = ("--epochs", 2, "--vertices", 4, "--supervised", 2)
+        data, run, sweep = tmp_path / "d", tmp_path / "r", tmp_path / "s"
+        assert _run("gen-data", "--out", data, "--vertices", 4, "--supervised", 2) == 0
+        assert _run("train", "--out", run, "--dataset", data / "dataset.json", *common) == 0
+        assert _run("sweep", "--out", sweep, "--vary", "gamma", "--values", "0",
+                    "--seeds", 0, 1, *common) == 0
+        capsys.readouterr()
+        for path in (data / "dataset.json", run / "checkpoint.json"):
+            text = path.read_text()
+            assert len(text.splitlines()) == 1
+            assert text == json.dumps(json.loads(text))
+        for path in (data / "config.json", run / "config.json", sweep / "config.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        text = (sweep / "sweep.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestSweep:

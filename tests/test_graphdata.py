@@ -209,14 +209,18 @@ class TestSerialization:
     def test_round_trip_is_exact(self, tmp_path):
         spec = build_graph_spec("connected_clusters", 6, 2)
         ds = generate_dataset(spec, 2, delta=0.25, seed=9)
-        path = tmp_path / "data.json"
+        path, old = tmp_path / "data.json", tmp_path / "old.json"
         save_dataset(path, ds)
-        loaded = load_dataset(path)
-        assert loaded.spec == ds.spec
-        assert loaded.delta == ds.delta and loaded.seed == ds.seed
-        for pa, pb in zip(ds.inputs, loaded.inputs):
-            np.testing.assert_array_equal(pa.amplitudes, pb.amplitudes)
-        np.testing.assert_array_equal(ds.target_unitary, loaded.target_unitary)
+        text = path.read_text()
+        assert len(text.splitlines()) == 1
+        # The indented form written before datasets were compact loads bit for bit too.
+        old.write_text(json.dumps(json.loads(text), indent=1))
+        for loaded in (load_dataset(path), load_dataset(old)):
+            assert loaded.spec == ds.spec
+            assert loaded.delta == ds.delta and loaded.seed == ds.seed
+            for pa, pb in zip(ds.inputs, loaded.inputs):
+                assert pa.amplitudes.tobytes() == pb.amplitudes.tobytes()
+            assert ds.target_unitary.tobytes() == loaded.target_unitary.tobytes()
 
     def test_save_is_byte_stable(self, tmp_path):
         spec = build_graph_spec("line", 4, 2)

@@ -404,14 +404,17 @@ class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         arch = arch_from_string("2,~3,2")
         unis = init_unitaries(arch, np.random.default_rng(14))
-        path = tmp_path / "ckpt.json"
+        path, old = tmp_path / "ckpt.json", tmp_path / "old.json"
         save_checkpoint(path, unis, seed=14)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 14
-        assert loaded.arch == arch
-        for la, lb in zip(unis.layers, loaded.layers):
-            for ua, ub in zip(la, lb):
-                np.testing.assert_array_equal(ua, ub)
+        text = path.read_text()
+        assert len(text.splitlines()) == 1
+        # The indented form written before checkpoints were compact loads bit for bit too.
+        old.write_text(json.dumps(json.loads(text), indent=1))
+        for loaded, seed in (load_checkpoint(path), load_checkpoint(old)):
+            assert seed == 14
+            assert loaded.arch == arch
+            for la, lb in zip(unis.layers, loaded.layers):
+                assert la.tobytes() == lb.tobytes()
 
     def test_rejects_corrupted_payloads(self, tmp_path):
         arch = arch_from_string("1,1")
